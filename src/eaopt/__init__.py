@@ -56,7 +56,6 @@ from .simulator import (
     PeriodRecord,
     RatioStats,
     SimulationReport,
-    SweepPoint,
     alpha_sweep_to_csv,
     budget_grid,
     report_to_csv,
@@ -89,7 +88,6 @@ __all__ = [
     "RatioStats",
     "SimulationReport",
     "StandardFormLP",
-    "SweepPoint",
     "TraceError",
     "UNBOUNDED",
     "alpha_sweep_to_csv",

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+
+from ._table import read_table
 
 HEADER = "id,label,accuracy,power"
 
@@ -157,10 +158,8 @@ def pareto_filter(catalog: Catalog) -> Catalog:
     return Catalog(kept, catalog.off_power)
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text()
+def _parse_row(parts: list[str]) -> tuple[int, str, float, float]:
+    return int(parts[0]), parts[1], float(parts[2]), float(parts[3])
 
 
 def load_catalog(source) -> Catalog:
@@ -169,46 +168,27 @@ def load_catalog(source) -> Catalog:
     Raises CatalogError with a line number on malformed rows and with the
     full violation list when the parsed catalog breaks an invariant.
     """
-    text = _read_text(source)
+    meta, rows, _ = read_table(source, HEADER, _parse_row, CatalogError)
     units: dict[str, str] = {}
     units_line = None
     off_power_raw = None
-    header_seen = False
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("units:"):
-                units_line = lineno
-                for item in body[len("units:"):].split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    key, sep, value = item.partition("=")
-                    if not sep:
-                        raise CatalogError(f"line {lineno}: bad units entry {item!r}")
-                    units[key.strip()] = value.strip()
-            elif body.startswith("off_power="):
-                try:
-                    off_power_raw = float(body[len("off_power="):])
-                except ValueError:
-                    raise CatalogError(f"line {lineno}: bad off_power value") from None
-            continue  # other #-lines are comments
-        parts = [p.strip() for p in line.split(",")]
-        if ",".join(parts) == HEADER:
-            header_seen = True
-            continue
-        if not header_seen:
-            raise CatalogError(f"line {lineno}: expected header {HEADER!r} before data rows")
-        if len(parts) != 4:
-            raise CatalogError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            rows.append((lineno, int(parts[0]), parts[1], float(parts[2]), float(parts[3])))
-        except ValueError:
-            raise CatalogError(f"line {lineno}: bad numeric field in {line!r}") from None
+    for lineno, body in meta:
+        if body.startswith("units:"):
+            units_line = lineno
+            for item in body[len("units:"):].split(","):
+                item = item.strip()
+                if not item:
+                    continue
+                key, sep, value = item.partition("=")
+                if not sep:
+                    raise CatalogError(f"line {lineno}: bad units entry {item!r}")
+                units[key.strip()] = value.strip()
+        elif body.startswith("off_power="):
+            try:
+                off_power_raw = float(body[len("off_power="):])
+            except ValueError:
+                raise CatalogError(f"line {lineno}: bad off_power value") from None
+        # other #-lines are comments
     if not rows:
         raise CatalogError("no design points")
     if "accuracy" not in units or "power" not in units:
@@ -223,7 +203,7 @@ def load_catalog(source) -> Catalog:
     pow_scale = _POWER_SCALE[units["power"]]
     dps = tuple(
         DesignPoint(dp_id, label, accuracy * acc_scale, power * pow_scale)
-        for _, dp_id, label, accuracy, power in rows
+        for dp_id, label, accuracy, power in rows
     )
     catalog = Catalog(dps, off_power_raw * pow_scale)
     problems = validate_catalog(catalog)

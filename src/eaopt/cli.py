@@ -17,6 +17,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .allocator import AllocationProblem, optimize_allocation
 from .catalog import Catalog, CatalogError, builtin_table1, load_catalog, pareto_partition, validate_catalog
@@ -77,7 +78,7 @@ def load_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment; dashes equal underscores."""
     values = {}
     try:
-        text = open(path).read()
+        text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

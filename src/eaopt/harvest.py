@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from ._table import read_table
 
 IRRADIANCE = "irradiance"
 BUDGET = "budget"
@@ -83,66 +84,49 @@ class BudgetSeries:
         return len(self.budgets)
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text()
+def _parse_pair(parts: list[str]) -> tuple[float, float]:
+    return float(parts[0]), float(parts[1])
 
 
 def load_trace(source, fmt: str = "csv") -> HarvestTrace:
     """Parse a trace CSV from a path or file-like object."""
     if fmt != "csv":
         raise TraceError(f"unknown trace format {fmt!r}")
-    text = _read_text(source)
+    meta, rows, lines = read_table(source, TRACE_HEADER, _parse_pair, TraceError)
     mode = None
     units = None
-    header_seen = False
-    times: list[float] = []
-    values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("mode:"):
-                mode = body[len("mode:"):].strip()
-                if mode not in _MODE_UNITS:
-                    raise TraceError(f"line {lineno}: unknown trace mode {mode!r}")
-            elif body.startswith("units:"):
-                units = body[len("units:"):].strip()
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if ",".join(parts) == TRACE_HEADER:
-            header_seen = True
-            continue
-        if not header_seen:
-            raise TraceError(f"line {lineno}: expected header {TRACE_HEADER!r} before data rows")
-        if len(parts) != 2:
-            raise TraceError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            t, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise TraceError(f"line {lineno}: bad numeric field in {line!r}") from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise TraceError(f"line {lineno}: non-finite value in {line!r}")
-        if v < 0:
-            raise TraceError(f"line {lineno}: negative value {v!r}")
-        if times and t <= times[-1]:
-            raise TraceError(
-                f"line {lineno}: timestamp {t!r} not after previous {times[-1]!r}"
-            )
-        times.append(t)
-        values.append(v)
+    for lineno, body in meta:
+        if body.startswith("mode:"):
+            mode = body[len("mode:"):].strip()
+            if mode not in _MODE_UNITS:
+                raise TraceError(f"line {lineno}: unknown trace mode {mode!r}")
+        elif body.startswith("units:"):
+            units = body[len("units:"):].strip()
     if mode is None:
         raise TraceError("missing '#mode: irradiance|budget' metadata line")
     if units is not None and units != _MODE_UNITS[mode]:
         raise TraceError(
             f"units {units!r} do not match mode {mode!r} (expected {_MODE_UNITS[mode]!r})"
         )
-    if not times:
+    if not rows:
         raise TraceError("trace has no samples")
-    return HarvestTrace(np.array(times), np.array(values), mode)
+    times = np.array([t for t, _ in rows])
+    values = np.array([v for _, v in rows])
+    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
+    if bad.size:
+        i = bad[0]
+        raise TraceError(f"line {lines[i]}: non-finite value in row {rows[i]!r}")
+    bad = np.flatnonzero(values < 0)
+    if bad.size:
+        i = bad[0]
+        raise TraceError(f"line {lines[i]}: negative value {rows[i][1]!r}")
+    bad = np.flatnonzero(np.diff(times, prepend=-np.inf) <= 0)
+    if bad.size:
+        i = bad[0]
+        raise TraceError(
+            f"line {lines[i]}: timestamp {rows[i][0]!r} not after previous {rows[i - 1][0]!r}"
+        )
+    return HarvestTrace(times, values, mode)
 
 
 def _sample_durations(times: np.ndarray, period_length: float) -> np.ndarray:
@@ -165,37 +149,18 @@ def irradiance_to_budget(
     power = trace.values * panel.area * panel.efficiency  # watts
     durations = _sample_durations(trace.times, period_length)
     t0 = float(trace.times[0])
-    span = float(trace.times[-1]) + float(durations[-1]) - t0
-    n = max(1, math.ceil(span / period_length - 1e-9))
-    budgets = np.zeros(n)
-    for t, p, d in zip(trace.times, power, durations):
-        start = float(t)
-        remaining = float(d)
-        while remaining > 0:
-            k = min(int((start - t0) / period_length), n - 1)
-            period_end = t0 + (k + 1) * period_length
-            chunk = min(remaining, period_end - start)
-            if chunk <= 0:  # numeric guard at period edges
-                chunk = remaining
-            budgets[k] += p * chunk
-            start += chunk
-            remaining -= chunk
+    end = float(trace.times[-1]) + float(durations[-1])
+    n = max(1, math.ceil((end - t0) / period_length - 1e-9))
+    # Cut every hold at the period edges it crosses, then credit each
+    # piece's energy to the period it starts in.  An edge that is also a
+    # sample time makes a zero-width piece, which adds nothing.
+    edges = t0 + period_length * np.arange(1, n)
+    cuts = np.sort(np.concatenate([trace.times, [end], np.minimum(edges, end)]))
+    sample = np.searchsorted(trace.times, cuts[:-1], side="right") - 1
+    period = np.searchsorted(edges, cuts[:-1], side="right")
+    budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
-    starts = t0 + period_length * np.arange(n)
-    return BudgetSeries(period_length, starts, budgets)
-
-
-def _rebin_budget_trace(
-    trace: HarvestTrace, period_length: float, budget_cap: float | None
-) -> BudgetSeries:
-    t0 = float(trace.times[0])
-    n = int((float(trace.times[-1]) - t0) // period_length) + 1
-    budgets = np.zeros(n)
-    for t, v in zip(trace.times, trace.values):
-        budgets[int((float(t) - t0) // period_length)] += v
-    if budget_cap is not None:
-        budgets = np.minimum(budgets, budget_cap)
     starts = t0 + period_length * np.arange(n)
     return BudgetSeries(period_length, starts, budgets)
 
@@ -210,11 +175,17 @@ def trace_to_budgets(
     """
     if trace.mode == IRRADIANCE:
         return irradiance_to_budget(trace, panel, period_length)
-    if trace.mode == BUDGET:
-        if not (math.isfinite(period_length) and period_length > 0):
-            raise TraceError(f"period length {period_length!r} must be finite and > 0")
-        return _rebin_budget_trace(trace, period_length, panel.budget_cap)
-    raise TraceError(f"unknown trace mode {trace.mode!r}")
+    if trace.mode != BUDGET:
+        raise TraceError(f"unknown trace mode {trace.mode!r}")
+    if not (math.isfinite(period_length) and period_length > 0):
+        raise TraceError(f"period length {period_length!r} must be finite and > 0")
+    t0 = float(trace.times[0])
+    index = ((trace.times - t0) // period_length).astype(int)
+    budgets = np.bincount(index, weights=trace.values)
+    if panel.budget_cap is not None:
+        budgets = np.minimum(budgets, panel.budget_cap)
+    starts = t0 + period_length * np.arange(len(budgets))
+    return BudgetSeries(period_length, starts, budgets)
 
 
 def synth_trace(
@@ -262,43 +233,25 @@ def load_budget_series(source, period_length: float | None = None) -> BudgetSeri
     period_length defaults to the first gap between period starts (one
     hour for a single row).
     """
-    text = _read_text(source)
-    header_seen = False
-    starts: list[float] = []
-    budgets: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if ",".join(parts) == BUDGET_HEADER:
-            header_seen = True
-            continue
-        if not header_seen:
-            raise TraceError(
-                f"line {lineno}: expected header {BUDGET_HEADER!r} before data rows"
-            )
-        if len(parts) != 2:
-            raise TraceError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            s, b = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise TraceError(f"line {lineno}: bad numeric field in {line!r}") from None
-        if not (math.isfinite(s) and math.isfinite(b)) or b < 0:
-            raise TraceError(f"line {lineno}: bad values in {line!r}")
-        starts.append(s)
-        budgets.append(b)
-    if not starts:
+    _, rows, lines = read_table(source, BUDGET_HEADER, _parse_pair, TraceError)
+    if not rows:
         raise TraceError("budget series has no rows")
+    starts = np.array([s for s, _ in rows])
+    budgets = np.array([b for _, b in rows])
+    bad = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(budgets)) | (budgets < 0))
+    if bad.size:
+        i = bad[0]
+        raise TraceError(f"line {lines[i]}: bad values in row {rows[i]!r}")
     if period_length is None:
-        period_length = starts[1] - starts[0] if len(starts) > 1 else 3600.0
+        period_length = float(starts[1] - starts[0]) if len(starts) > 1 else 3600.0
     if not (math.isfinite(period_length) and period_length > 0):
         raise TraceError(f"period length {period_length!r} must be finite and > 0")
-    for k, s in enumerate(starts):
-        expected = starts[0] + k * period_length
-        if abs(s - expected) > 1e-6 * max(1.0, abs(expected)):
-            raise TraceError(
-                f"period starts are not a contiguous grid: index {k} is {s!r}, "
-                f"expected {expected!r}"
-            )
-    return BudgetSeries(float(period_length), np.array(starts), np.array(budgets))
+    expected = starts[0] + period_length * np.arange(len(starts))
+    bad = np.flatnonzero(np.abs(starts - expected) > 1e-6 * np.maximum(1.0, np.abs(expected)))
+    if bad.size:
+        k = bad[0]
+        raise TraceError(
+            f"line {lines[k]}: period starts are not a contiguous grid: index {k} is "
+            f"{rows[k][0]!r}, expected {float(expected[k])!r}"
+        )
+    return BudgetSeries(float(period_length), starts, budgets)

@@ -149,13 +149,6 @@ def simulate(
     return _build_report(records, catalog, alpha, period_length)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    budget: float
-    optimized: Allocation
-    statics: dict[int, Allocation]
-
-
 def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid start, start+step, ... up to stop."""
     if step <= 0:
@@ -173,19 +166,12 @@ def sweep_budget(
     stop: float,
     step: float,
     period_length: float = 3600.0,
-) -> list[SweepPoint]:
-    """Optimizer and static baselines across a budget grid."""
-    points = []
-    for budget in budget_grid(start, stop, step):
-        budget = float(budget)
-        problem = AllocationProblem(period_length, budget, alpha, catalog)
-        optimized = optimize_allocation(problem)
-        statics = {
-            dp.id: static_dp_allocation(dp, period_length, budget, catalog.off_power, alpha)
-            for dp in catalog
-        }
-        points.append(SweepPoint(budget, optimized, statics))
-    return points
+) -> tuple[PeriodRecord, ...]:
+    """Optimizer and static baselines across a budget grid, one record
+    per grid budget."""
+    grid = budget_grid(start, stop, step)
+    series = BudgetSeries(period_length, period_length * np.arange(len(grid)), grid)
+    return simulate(series, catalog, alpha).records
 
 
 @dataclass(frozen=True)
@@ -216,7 +202,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def sweep_to_csv(points: list[SweepPoint], catalog: Catalog) -> str:
+def sweep_to_csv(points: tuple[PeriodRecord, ...], catalog: Catalog) -> str:
     """One row per budget: optimizer metrics then each static baseline's."""
     cols = ["budget_j", "opt_objective", "opt_expected_accuracy", "opt_active_fraction"]
     for dp in catalog:

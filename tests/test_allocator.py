@@ -115,6 +115,15 @@ class TestFeasibilityEdges:
         assert allocation.objective == pytest.approx(0.0, abs=1e-9)
         assert allocation.off_time == pytest.approx(PERIOD, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_oracle_exactly_at_floor_is_off(self, alpha):
+        # 0.18 J / 3600 s rounds just below the 5e-5 W keep-alive power.
+        prob = problem(0.18, alpha)
+        assert envelope_oracle(prob) == 0.0
+        assert optimize_allocation(prob).objective == pytest.approx(
+            envelope_oracle(prob), rel=1e-9, abs=1e-12
+        )
+
     def test_zero_budget_zero_off_power(self):
         base = builtin_table1()
         catalog = Catalog(base.design_points, 0.0)

@@ -1,6 +1,8 @@
 """End-to-end CLI tests driving main() in process."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -178,6 +180,19 @@ class TestSimulate:
         assert code == 0
         assert "periods: 3" in out
 
+    def test_trace_off_the_period_grid(self, capsys, tmp_path):
+        trace = tmp_path / "offset.csv"
+        trace.write_text("#mode: irradiance\ntimestamp,value\n10.1,100\n190.1,0\n")
+        report = tmp_path / "report.csv"
+        code, out, _ = run(
+            capsys, "simulate", "--trace", str(trace), "--period", "60",
+            "--format", "csv", "--output", str(report),
+        )
+        assert code == 0
+        assert "mean ratio vs DP1: 1 (defined 3, undefined 3)" in out
+        budgets = [float(row.split(",")[2]) for row in report.read_text().splitlines()[1:]]
+        assert budgets == pytest.approx([1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
+
     def test_missing_trace(self, capsys):
         code, _, err = run(capsys, "simulate")
         assert code == 1 and "trace" in err
@@ -230,6 +245,15 @@ class TestConfigMerge:
         config.write_text("alpha = quick\n")
         code, _, err = run(capsys, "optimize", "--config", str(config), "--budget", "5")
         assert code == 1 and "bad value" in err
+
+    def test_config_file_is_closed(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("alpha = 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_config_file(str(config))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "optimize", "--config", "/nope.conf", "--budget", "5")

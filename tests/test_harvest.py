@@ -137,10 +137,20 @@ class TestIrradianceIntegration:
         with pytest.raises(TraceError, match="period"):
             irradiance_to_budget(trace, PANEL, 0.0)
 
+    def test_start_off_the_period_grid(self):
+        # 10.1 + 60 rounds so that (70.1 - 10.1) / 60 < 1: each hold must
+        # still be cut exactly at the period edges it crosses.
+        trace = load_trace(
+            io.StringIO(trace_text("irradiance", [(10.1, 100.0), (190.1, 0.0)]))
+        )
+        series = irradiance_to_budget(trace, PANEL, 60.0)
+        assert series.budgets.tolist() == pytest.approx([1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_energy_is_conserved(self, data):
         n = data.draw(st.integers(min_value=1, max_value=40))
+        t0 = data.draw(st.floats(min_value=0.0, max_value=1e6))
         gaps = data.draw(
             st.lists(
                 st.floats(min_value=60.0, max_value=7200.0),
@@ -153,14 +163,27 @@ class TestIrradianceIntegration:
                 min_size=n, max_size=n,
             )
         )
-        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
         trace = HarvestTrace(times, np.array(values), IRRADIANCE)
         series = irradiance_to_budget(trace, PANEL, HOUR)
         durations = np.concatenate([np.diff(times), np.diff(times)[-1:]]) if n > 1 else np.array([HOUR])
         total = float((np.array(values) * 3e-4 * durations).sum())
         assert float(series.budgets.sum()) == pytest.approx(total, rel=1e-9, abs=1e-9)
-        span = times[-1] + durations[-1]
+        span = times[-1] + durations[-1] - times[0]
         assert len(series) == max(1, int(np.ceil(span / HOUR - 1e-9)))
+        # Brute force: each period gets every hold's overlap with it.  The
+        # 1e-9 slack in the period count can leave a sliver of the last
+        # hold past the grid; it belongs to the last period.
+        ends = series.starts + HOUR
+        ends[-1] = np.inf
+        expected = [
+            sum(
+                v * 3e-4 * max(0.0, min(t + d, end) - max(t, start))
+                for t, v, d in zip(times, values, durations)
+            )
+            for start, end in zip(series.starts, ends)
+        ]
+        assert series.budgets.tolist() == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestBudgetRebin:
