@@ -11,26 +11,53 @@ maximizes time on (any design point counts equally), alpha=1 maximizes
 expected accuracy, large alpha favors the most accurate points only.
 
 The problem is a two-constraint linear program (time closure equality
-plus an energy inequality), solved with the simplex solver in lp_core.
-An independent geometric solution -- the upper concave envelope of the
-(power, accuracy**alpha) point set evaluated at the mean-power target
-budget/T -- is provided as envelope_oracle for cross-checking.
+plus an energy inequality).  Its optimum is the rising upper concave
+envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
+evaluated at the mean power budget/T, so at most two modes are ever
+active: the envelope vertices on either side of budget/T, or the top
+vertex alone once the budget covers its power.  The allocator builds
+that envelope once per (catalog, alpha) and solves a whole array of
+budgets in closed form.
+
+Ties follow one rule.  Between modes of equal power the envelope keeps
+the higher utility, then the lower catalog index; between modes of
+equal utility it keeps the cheapest.  So at alpha=0, where every
+design point has utility 1, the cheapest design point runs for as much
+of the period as the budget allows and any leftover energy is unspent.
+
+build_problem writes the same problem as a StandardFormLP for the
+simplex solver in lp_core, and envelope_oracle recomputes the optimum
+in pure Python; both are independent cross-checks of the allocator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Catalog, DesignPoint, validate_catalog
-from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP, solve_lp
+from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
 
 # Relative slack when deciding whether a budget can even sustain the
 # keep-alive draw for the whole period.
 _FLOOR_RTOL = 1e-9
 _FLOOR_ATOL = 1e-15
+
+
+def _check_inputs(period: float, budgets, alpha: float, catalog: Catalog) -> None:
+    """Raise ValueError on the first input no schedule can be solved for."""
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period {period!r} must be finite and > 0")
+    for budget in budgets:
+        if not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"budget {budget!r} must be finite and >= 0")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha {alpha!r} must be finite and >= 0")
+    problems = validate_catalog(catalog)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -43,15 +70,7 @@ class AllocationProblem:
     catalog: Catalog
 
     def __post_init__(self):
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period {self.period!r} must be finite and > 0")
-        if not (math.isfinite(self.budget) and self.budget >= 0):
-            raise ValueError(f"budget {self.budget!r} must be finite and >= 0")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha {self.alpha!r} must be finite and >= 0")
-        problems = validate_catalog(self.catalog)
-        if problems:
-            raise ValueError("; ".join(problems))
+        _check_inputs(self.period, (self.budget,), self.alpha, self.catalog)
 
 
 @dataclass(frozen=True)
@@ -85,46 +104,156 @@ class Allocation:
         }
 
 
-def _finish(
-    dps: tuple[DesignPoint, ...],
-    times: np.ndarray,
-    off_time: float,
-    period: float,
-    off_power: float,
-    alpha: float,
-    status: str,
-) -> Allocation:
-    acc = np.array([dp.accuracy for dp in dps])
-    pw = np.array([dp.power for dp in dps])
-    vals = acc**alpha
-    return Allocation(
-        dp_ids=tuple(dp.id for dp in dps),
-        times=tuple(float(t) for t in times),
-        off_time=float(off_time),
-        objective=float(vals @ times) / period,
-        expected_accuracy=float(acc @ times) / period,
-        active_fraction=float(np.ones_like(acc) @ times) / period,
-        energy_used=float(pw @ times) + off_power * float(off_time),
-        status=status,
-    )
-
-
-def _below_floor(budget: float, period: float, off_power: float) -> bool:
+def _below_floor(budget, period: float, off_power: float):
+    """Whether each budget falls short of the keep-alive draw off_power * period."""
     floor = off_power * period
     return budget < floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
 
 
-def _infeasible(problem: AllocationProblem) -> Allocation:
-    dps = problem.catalog.design_points
-    return _finish(
-        dps,
-        np.zeros(len(dps)),
-        problem.period,
-        problem.period,
-        problem.catalog.off_power,
-        problem.alpha,
-        INFEASIBLE,
-    )
+@dataclass(frozen=True)
+class _Mix:
+    """Schedules that run mode `left` for t_left seconds and mode `right`
+    for t_right seconds; the arrays broadcast to one shape, one entry per
+    schedule.  Modes index a _Modes table, whose last mode is off."""
+
+    left: np.ndarray
+    right: np.ndarray
+    t_left: np.ndarray
+    t_right: np.ndarray
+
+    def weigh(self, weight: np.ndarray) -> np.ndarray:
+        """sum of weight[..., mode] * seconds per schedule, for one weight
+        vector or a stack of them.  Only the two mixed modes take part, so
+        the value does not depend on how many schedules are solved
+        together."""
+        return weight[..., self.left] * self.t_left + weight[..., self.right] * self.t_right
+
+
+class _Modes:
+    """A catalog as arrays: its design points, then the off state."""
+
+    def __init__(self, catalog: Catalog):
+        dps = catalog.design_points
+        self.ids = tuple(dp.id for dp in dps)
+        self.off = len(dps)
+        self.accuracy = np.array([dp.accuracy for dp in dps] + [0.0])
+        self.power = np.array([dp.power for dp in dps] + [catalog.off_power])
+        self.active = np.ones(self.off + 1)
+        self.active[self.off] = 0.0
+
+    def utility(self, alpha: float) -> np.ndarray:
+        utility = self.accuracy**alpha
+        utility[self.off] = 0.0  # 0.0**0 is 1
+        return utility
+
+    def envelope(self, utility: np.ndarray) -> np.ndarray:
+        """Modes on the rising upper concave envelope of (power, utility),
+        cheapest first; the off state is always the first."""
+        power = self.power
+        # Modes of equal power stay in catalog order.  Of those, the first
+        # with the highest utility survives the filter or the chain below.
+        order = np.argsort(power, kind="stable")
+        # A mode that does not raise the best utility of the cheaper ones
+        # is never optimal.  The survivors rise in utility.
+        ranked = utility[order]
+        rises = np.empty(order.size, dtype=bool)
+        rises[0] = True
+        np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=rises[1:])
+        kept = order[rises].tolist()
+        px, uy = power[kept].tolist(), utility[kept].tolist()
+        hull: list[int] = []  # Andrew's monotone chain, upper half
+        for k in range(len(kept)):
+            while len(hull) >= 2:
+                o, a = hull[-2], hull[-1]
+                cross = (px[a] - px[o]) * (uy[k] - uy[o]) - (uy[a] - uy[o]) * (px[k] - px[o])
+                if cross < 0:
+                    break
+                hull.pop()
+            hull.append(k)
+        return np.array([kept[k] for k in hull])
+
+    def optimal(self, utility: np.ndarray, period: float, budgets: np.ndarray) -> _Mix:
+        """The optimal schedule for each budget.  The mean power
+        budget/period falls on one envelope segment (left, right):
+        t_right = (budget - p_left T) / (p_right - p_left), clipped to
+        [0, T], and t_left = T - t_right."""
+        hull = self.envelope(utility)
+        if hull.size == 1:  # every utility is 0: stay off
+            hull = np.repeat(hull, 2)
+            seg = np.zeros(budgets.size, dtype=np.intp)
+            t_right = np.zeros(budgets.size)
+        else:
+            hp = self.power[hull]
+            # Searching the inner vertices gives the segment index; budgets
+            # past either end fall on the end segments and clip there.
+            seg = np.searchsorted(hp[1:-1], budgets / period, side="right")
+            p_left = hp[seg]
+            t_right = (budgets - p_left * period) / (hp[seg + 1] - p_left)
+            np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
+        left = hull[seg]
+        below = self._infeasible(period, budgets)
+        left[below] = self.off
+        t_right[below] = 0.0
+        return _Mix(left, hull[seg + 1], period - t_right, t_right)
+
+    def static(self, period: float, budgets: np.ndarray) -> _Mix:
+        """(P, N) single-mode schedules: design point k alone until the
+        budget is spent, t = (budget - off_power T) / (power - off_power)
+        clipped to [0, T], off for the rest; all off below the floor."""
+        off_power = self.power[self.off]
+        t = (budgets[:, None] - off_power * period) / (self.power[None, : self.off] - off_power)
+        np.minimum(np.maximum(t, 0.0, out=t), period, out=t)
+        t[self._infeasible(period, budgets)] = 0.0
+        return _Mix(np.full((1, 1), self.off), np.arange(self.off)[None, :], period - t, t)
+
+    def readings(self, mix: _Mix, utility: np.ndarray, period: float) -> np.ndarray:
+        """Rows objective, expected_accuracy, active_fraction and
+        energy_used of each schedule: one expression, with the weight
+        swapped."""
+        readings = mix.weigh(np.array((utility, self.accuracy, self.active, self.power)))
+        readings[:3] /= period
+        return readings
+
+    def solve(self, utility: np.ndarray, period: float, budgets: np.ndarray):
+        """Allocations of the optimal schedules, one per budget, and the
+        (P,) column of their objectives."""
+        mix = self.optimal(utility, period, budgets)
+        rows = np.arange(budgets.size)
+        seconds = np.zeros((budgets.size, self.off + 1))
+        seconds[rows, mix.left] = mix.t_left
+        seconds[rows, mix.right] += mix.t_right
+        readings = self.readings(mix, utility, period)
+        allocations = _allocations(self.ids, seconds[:, : self.off], seconds[:, self.off],
+                                   readings, self._infeasible(period, budgets))
+        return allocations, readings[0]
+
+    def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray):
+        """Per design point, the Allocations of its static schedules, one
+        per budget, and the (P, N) objectives."""
+        mix = self.static(period, budgets)
+        readings = self.readings(mix, utility, period)
+        infeasible = self._infeasible(period, budgets)
+        allocations = [
+            _allocations((dp_id,), mix.t_right[:, k : k + 1], mix.t_left[:, k],
+                         readings[:, :, k], infeasible)
+            for k, dp_id in enumerate(self.ids)
+        ]
+        return allocations, readings[0]
+
+    def _infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
+        return _below_floor(budgets, period, self.power[self.off])
+
+
+def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
+    """Allocation objects from (P, len(dp_ids)) times and (P,) columns."""
+    return [
+        Allocation(dp_ids, tuple(t), off, objective, accuracy, active, energy,
+                   INFEASIBLE if below else OPTIMAL)
+        for t, off, objective, accuracy, active, energy, below in zip(
+            times.tolist(), off_time.tolist(), *(r.tolist() for r in readings),
+            infeasible.tolist(),
+        )
+    ]
 
 
 def build_problem(problem: AllocationProblem) -> StandardFormLP:
@@ -144,28 +273,13 @@ def build_problem(problem: AllocationProblem) -> StandardFormLP:
     )
 
 
-def optimize_allocation(problem: AllocationProblem, max_iterations: int | None = None) -> Allocation:
+def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
-    if _below_floor(problem.budget, problem.period, problem.catalog.off_power):
-        return _infeasible(problem)
-    solution = solve_lp(build_problem(problem), max_iterations=max_iterations)
-    if solution.status != OPTIMAL or solution.values is None:
-        if solution.status == INFEASIBLE:
-            return _infeasible(problem)
-        raise ArithmeticError(f"allocation solve ended with status {solution.status!r}")
-    values = np.clip(solution.values, 0.0, None)
-    times = values[:-1]
-    off_time = max(problem.period - float(times.sum()), 0.0)
-    return _finish(
-        problem.catalog.design_points,
-        times,
-        off_time,
-        problem.period,
-        problem.catalog.off_power,
-        problem.alpha,
-        solution.status,
-    )
+    modes = _Modes(problem.catalog)
+    allocations, _ = modes.solve(modes.utility(problem.alpha), problem.period,
+                                 np.array([problem.budget]))
+    return allocations[0]
 
 
 def envelope_oracle(problem: AllocationProblem) -> float:
@@ -238,9 +352,6 @@ def static_dp_allocation(
         raise ValueError(
             f"{dp.label}: power {dp.power!r} W must exceed off_power {off_power!r} W"
         )
-    dps = (dp,)
-    if _below_floor(budget, period, off_power):
-        return _finish(dps, np.zeros(1), period, period, off_power, alpha, INFEASIBLE)
-    t = (budget - off_power * period) / (dp.power - off_power)
-    t = min(period, max(t, 0.0))
-    return _finish(dps, np.array([t]), period - t, period, off_power, alpha, OPTIMAL)
+    modes = _Modes(Catalog((dp,), off_power))
+    allocations, _ = modes.baselines(modes.utility(alpha), period, np.array([budget]))
+    return allocations[0][0]

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import (
-    Allocation,
-    AllocationProblem,
-    optimize_allocation,
-    static_dp_allocation,
-)
+from .allocator import Allocation, _check_inputs, _Modes
 from .catalog import Catalog
 from .harvest import BudgetSeries
 
@@ -65,74 +60,11 @@ class SimulationReport:
     off_share: float
 
 
-def _period_record(
-    index: int,
-    start: float,
-    budget: float,
-    catalog: Catalog,
-    alpha: float,
-    period_length: float,
-) -> PeriodRecord:
-    problem = AllocationProblem(period_length, budget, alpha, catalog)
-    optimized = optimize_allocation(problem)
-    statics = {
-        dp.id: static_dp_allocation(dp, period_length, budget, catalog.off_power, alpha)
-        for dp in catalog
-    }
-    ratios: dict[int, float | None] = {}
-    for dp_id, static in statics.items():
-        if static.objective <= 0.0:
-            ratios[dp_id] = None
-        else:
-            ratios[dp_id] = optimized.objective / static.objective
-    return PeriodRecord(index, start, budget, optimized, statics, ratios)
-
-
-def _build_report(
-    records: tuple[PeriodRecord, ...],
-    catalog: Catalog,
-    alpha: float,
-    period_length: float,
-) -> SimulationReport:
-    n = len(records)
-    ratio_stats = {}
-    for dp in catalog:
-        defined = [r.ratios[dp.id] for r in records if r.ratios[dp.id] is not None]
-        ratio_stats[dp.id] = RatioStats(
-            mean=sum(defined) / len(defined) if defined else None,
-            min=min(defined) if defined else None,
-            max=max(defined) if defined else None,
-            defined=len(defined),
-            undefined=n - len(defined),
-        )
-    mean_acc = sum(r.optimized.expected_accuracy for r in records) / n
-    mean_active = sum(r.optimized.active_fraction for r in records) / n
-    total_time = n * period_length
-    time_share = {}
-    for k, dp in enumerate(catalog):
-        time_share[dp.id] = sum(r.optimized.times[k] for r in records) / total_time
-    off_share = sum(r.optimized.off_time for r in records) / total_time
-    return SimulationReport(
-        alpha=alpha,
-        period_length=period_length,
-        dp_ids=catalog.ids,
-        dp_labels=catalog.labels,
-        records=records,
-        ratio_stats=ratio_stats,
-        mean_expected_accuracy=mean_acc,
-        mean_active_fraction=mean_active,
-        time_share=time_share,
-        off_share=off_share,
-    )
-
-
-def simulate(
-    budgets: BudgetSeries,
-    catalog: Catalog,
-    alpha: float,
-    period_length: float | None = None,
-) -> SimulationReport:
-    """One optimized-vs-static record per period, plus aggregates."""
+def _checked(
+    budgets: BudgetSeries, catalog: Catalog, alpha: float, period_length: float | None
+) -> tuple[float, np.ndarray]:
+    """The period length and the budgets as a float array, once every
+    input is checked."""
     if period_length is None:
         period_length = budgets.period_length
     elif not math.isclose(period_length, budgets.period_length, rel_tol=1e-9):
@@ -142,11 +74,76 @@ def simulate(
         )
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
+    column = np.asarray(budgets.budgets, dtype=float)
+    _check_inputs(period_length, column.tolist(), alpha, catalog)
+    return period_length, column
+
+
+def _ratio_stats(
+    ratios: np.ndarray, defined: np.ndarray, dp_ids: tuple[int, ...]
+) -> dict[int, RatioStats]:
+    """Per design point, the (P, N) ratios where defined, summed in period order."""
+    stats = {}
+    for k, dp_id in enumerate(dp_ids):
+        values = ratios[defined[:, k], k].tolist()
+        stats[dp_id] = RatioStats(
+            mean=sum(values) / len(values) if values else None,
+            min=min(values) if values else None,
+            max=max(values) if values else None,
+            defined=len(values),
+            undefined=len(ratios) - len(values),
+        )
+    return stats
+
+
+def _ratios(objective: np.ndarray, static_objective: np.ndarray):
+    """(P, N) optimized / static objectives, and where they are defined
+    (static objective > 0); undefined entries hold 0.0."""
+    defined = static_objective > 0.0
+    ratios = np.divide(objective[:, None], static_objective,
+                       out=np.zeros_like(static_objective), where=defined)
+    return ratios, defined
+
+
+def simulate(
+    budgets: BudgetSeries,
+    catalog: Catalog,
+    alpha: float,
+    period_length: float | None = None,
+) -> SimulationReport:
+    """One optimized-vs-static record per period, plus aggregates."""
+    period_length, column = _checked(budgets, catalog, alpha, period_length)
+    modes = _Modes(catalog)
+    utility = modes.utility(alpha)
+    optimized, objective = modes.solve(utility, period_length, column)
+    statics, static_objective = modes.baselines(utility, period_length, column)
+    ratios, defined = _ratios(objective, static_objective)
+    cells = np.where(defined, ratios, None).tolist()
+    starts = np.asarray(budgets.starts, dtype=float).tolist()
     records = tuple(
-        _period_record(i, float(start), float(budget), catalog, alpha, period_length)
-        for i, (start, budget) in enumerate(zip(budgets.starts, budgets.budgets))
+        PeriodRecord(i, start, budget, opt, dict(zip(modes.ids, row_statics)),
+                     dict(zip(modes.ids, row_ratios)))
+        for i, (start, budget, opt, row_statics, row_ratios) in enumerate(
+            zip(starts, column.tolist(), optimized, zip(*statics), cells)
+        )
     )
-    return _build_report(records, catalog, alpha, period_length)
+    n = len(records)
+    total_time = n * period_length
+    return SimulationReport(
+        alpha=alpha,
+        period_length=period_length,
+        dp_ids=catalog.ids,
+        dp_labels=catalog.labels,
+        records=records,
+        ratio_stats=_ratio_stats(ratios, defined, modes.ids),
+        mean_expected_accuracy=sum(a.expected_accuracy for a in optimized) / n,
+        mean_active_fraction=sum(a.active_fraction for a in optimized) / n,
+        time_share={
+            dp_id: sum(a.times[k] for a in optimized) / total_time
+            for k, dp_id in enumerate(modes.ids)
+        },
+        off_share=sum(a.off_time for a in optimized) / total_time,
+    )
 
 
 def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -188,9 +185,16 @@ def sweep_alpha(
 ) -> list[AlphaPoint]:
     """Aggregate normalized ratios (with min/max bounds) for each alpha."""
     points = []
-    for alpha in alphas:
-        report = simulate(budgets, catalog, float(alpha), period_length)
-        points.append(AlphaPoint(float(alpha), report.ratio_stats))
+    static = None
+    for alpha in map(float, alphas):
+        period, column = _checked(budgets, catalog, alpha, period_length)
+        if static is None:  # the static schedules do not depend on alpha
+            modes = _Modes(catalog)
+            static = modes.static(period, column)
+        utility = modes.utility(alpha)
+        optimal = modes.optimal(utility, period, column)
+        ratios, defined = _ratios(optimal.weigh(utility) / period, static.weigh(utility) / period)
+        points.append(AlphaPoint(alpha, _ratio_stats(ratios, defined, modes.ids)))
     return points
 
 

@@ -102,3 +102,33 @@ def random_catalog(rng: np.random.Generator, max_points: int = 100):
     powers = rng.uniform(1e-4, 1e-2, size=n)
     off_power = float(powers.min()) * float(rng.uniform(0.0, 0.9))
     return accuracies, powers, off_power
+
+
+def highs_objective(catalog, period: float, budget: float, alpha: float) -> float:
+    """Optimum from SciPy's HiGHS on the allocation LP rescaled to unit
+    magnitudes: time as a share of the period, utility over the largest
+    utility, power over the largest power.  0 when the budget cannot
+    cover the keep-alive floor."""
+    from scipy.optimize import linprog
+
+    accuracy = np.array([dp.accuracy for dp in catalog])
+    power = np.array([dp.power for dp in catalog])
+    utility = accuracy**alpha
+    scale = float(utility.max())
+    if scale == 0.0:
+        return 0.0
+    p_ref = float(power.max())
+    res = linprog(
+        -np.append(utility / scale, 0.0),
+        A_ub=[np.append(power, catalog.off_power) / p_ref],
+        b_ub=[budget / (p_ref * period)],
+        A_eq=[np.ones(power.size + 1)],
+        b_eq=[1.0],
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status == 2:  # infeasible
+        return 0.0
+    if res.status != 0:
+        raise ArithmeticError(f"HiGHS status {res.status}: {res.message}")
+    return -float(res.fun) * scale

@@ -14,7 +14,10 @@ from eaopt.allocator import (
     static_dp_allocation,
 )
 from eaopt.catalog import Catalog, DesignPoint, builtin_table1
+from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
+from eaopt.simulator import simulate
+from oracles import highs_objective
 
 PERIOD = 3600.0
 
@@ -131,6 +134,15 @@ class TestFeasibilityEdges:
         assert allocation.status == OPTIMAL
         assert allocation.objective == pytest.approx(0.0, abs=1e-12)
 
+    def test_every_utility_underflows_to_zero(self):
+        catalog = Catalog(
+            (DesignPoint(1, "A", 0.01, 1e-3), DesignPoint(2, "B", 0.02, 2e-3)), 1e-5
+        )
+        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.0, 400.0, catalog))
+        assert allocation.status == OPTIMAL
+        assert allocation.objective == 0.0
+        assert allocation.times == (0.0, 0.0) and allocation.off_time == PERIOD
+
     def test_validation(self):
         with pytest.raises(ValueError, match="period"):
             AllocationProblem(0.0, 1.0, 1.0, builtin_table1())
@@ -215,9 +227,11 @@ class TestEnvelopeOracle:
     )
     def test_matches_simplex_on_builtin(self, budget, alpha):
         prob = problem(budget, alpha)
-        allocation = optimize_allocation(prob)
+        solution = solve_lp(build_problem(prob))
+        assert solution.status in (OPTIMAL, INFEASIBLE)
+        simplex = solution.objective if solution.status == OPTIMAL else 0.0
         expected = envelope_oracle(prob)
-        assert allocation.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert simplex == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_duplicate_power_points(self):
         catalog = Catalog(
@@ -232,6 +246,125 @@ class TestEnvelopeOracle:
         assert optimize_allocation(prob).objective == pytest.approx(
             envelope_oracle(prob), rel=1e-9
         )
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("budget", [9.0, 12.0])
+    def test_alpha_zero_runs_the_cheapest_design_point(self, budget):
+        # Every full-on mix is optimal at alpha = 0; the cheapest design
+        # point (DP5) fills the period and the leftover energy is unspent.
+        allocation = optimize_allocation(problem(budget, alpha=0.0))
+        assert allocation.times == (0.0, 0.0, 0.0, 0.0, PERIOD)
+        assert allocation.off_time == 0.0
+        assert allocation.objective == allocation.active_fraction == 1.0
+        assert allocation.energy_used == pytest.approx(DP5_SATURATION, rel=1e-12)
+
+    def test_equal_power_keeps_higher_utility_then_lower_index(self):
+        catalog = Catalog(
+            (
+                DesignPoint(1, "A", 0.7, 2e-3),
+                DesignPoint(2, "B", 0.9, 2e-3),
+                DesignPoint(3, "C", 0.9, 2e-3),
+            ),
+            1e-5,
+        )
+        allocation = optimize_allocation(AllocationProblem(PERIOD, 50.0, 1.0, catalog))
+        assert allocation.times == (0.0, PERIOD, 0.0)
+
+
+class TestSmallUtilityReproducers:
+    """Optima whose utilities are tiny or nearly equal, where a solver
+    with absolute tolerances stops early; references from exact
+    rational arithmetic on the envelope (HiGHS agrees)."""
+
+    def test_builtin_tiny_alpha(self):
+        allocation = optimize_allocation(problem(7.0, alpha=1.192092896e-07))
+        assert allocation.objective == pytest.approx(0.9999999903995453, rel=1e-12)
+
+    def test_two_points_alpha_40(self):
+        catalog = Catalog(
+            (DesignPoint(1, "A", 0.5, 1e-3), DesignPoint(2, "B", 0.6, 2e-3)), 1e-5
+        )
+        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.0, 40.0, catalog))
+        assert allocation.objective == pytest.approx(9.262457131605276e-10, rel=1e-12)
+
+    def test_three_points_alpha_12(self):
+        catalog = Catalog(
+            (
+                DesignPoint(1, "A", 0.05, 1e-3),
+                DesignPoint(2, "B", 0.1, 2e-3),
+                DesignPoint(3, "C", 0.2, 3e-3),
+            ),
+            1e-5,
+        )
+        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.0, 12.0, catalog))
+        assert allocation.objective == pytest.approx(1.8889394277220377e-09, rel=1e-12)
+
+
+# Design points drawn from small grids, so equal powers, equal
+# accuracies and exact twins are common.
+_ACCURACY = st.one_of(st.sampled_from([0.05, 0.5, 0.76, 0.9, 1.0]), st.floats(0.01, 1.0))
+_POWER = st.one_of(st.sampled_from([1e-4, 1.2e-3, 2e-3]), st.floats(1e-5, 1e-1))
+
+
+@st.composite
+def degenerate_cases(draw):
+    points = draw(st.lists(st.tuples(_ACCURACY, _POWER), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))  # an exact twin
+    off_power = min(p for _, p in points) * draw(
+        st.one_of(st.just(0.0), st.floats(0.0, 0.9))
+    )
+    catalog = Catalog(
+        tuple(DesignPoint(i + 1, f"P{i + 1}", a, p) for i, (a, p) in enumerate(points)),
+        off_power,
+    )
+    period = draw(st.sampled_from([60.0, 3600.0, 86400.0]))
+    floor = off_power * period
+    top = max(p for _, p in points) * period
+    budget = st.one_of(
+        st.just(0.0),
+        st.just(floor),
+        st.floats(0.0, 1.0).map(lambda f: f * floor),  # below the floor
+        st.floats(0.0, 1.2).map(lambda f: floor + f * (top - floor)),
+    )
+    budgets = draw(st.lists(budget, min_size=1, max_size=5))
+    alpha = draw(st.floats(0.0, 64.0))
+    return catalog, period, budgets, alpha
+
+
+class TestEngineProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=degenerate_cases())
+    def test_matches_oracle_and_highs(self, case):
+        pytest.importorskip("scipy.optimize")
+        catalog, period, budgets, alpha = case
+        scale = max(dp.accuracy for dp in catalog) ** alpha
+        for budget in budgets:
+            prob = AllocationProblem(period, budget, alpha, catalog)
+            allocation = optimize_allocation(prob)
+            assert abs(allocation.objective - envelope_oracle(prob)) <= 1e-12 * scale
+            highs = highs_objective(catalog, period, budget, alpha)
+            assert abs(allocation.objective - highs) <= 1e-6 * scale
+            assert sum(allocation.times) + allocation.off_time == pytest.approx(
+                period, rel=1e-12
+            )
+            assert min(allocation.times) >= 0.0 and allocation.off_time >= 0.0
+            assert sum(1 for t in allocation.times if t > 0.0) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=degenerate_cases())
+    def test_batch_equals_batch_of_one(self, case):
+        catalog, period, budgets, alpha = case
+        series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+        report = simulate(series, catalog, alpha)
+        for record, budget in zip(report.records, budgets):
+            single = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
+            assert record.optimized == single
+            for dp in catalog:
+                assert record.statics[dp.id] == static_dp_allocation(
+                    dp, period, budget, catalog.off_power, alpha
+                )
 
 
 class TestStaticBaseline:

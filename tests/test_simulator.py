@@ -100,6 +100,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match="empty"):
             simulate(empty, CATALOG, 1.0)
 
+    @pytest.mark.parametrize(
+        "budgets, alpha, match",
+        [
+            ([5.0, float("nan"), 5.0], 1.0, "budget"),
+            ([5.0, -1.0], 1.0, "budget"),
+            ([5.0, 5.0], -0.5, "alpha"),
+        ],
+    )
+    def test_invalid_inputs(self, budgets, alpha, match):
+        series = BudgetSeries(HOUR, HOUR * np.arange(len(budgets)), np.array(budgets))
+        with pytest.raises(ValueError, match=match):
+            simulate(series, CATALOG, alpha)
+
     def test_reports_are_reproducible(self):
         a = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
         b = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
