@@ -53,6 +53,7 @@ from .lp_core import (
 )
 from .simulator import (
     AlphaPoint,
+    PeriodColumns,
     PeriodRecord,
     RatioStats,
     SimulationReport,
@@ -84,6 +85,7 @@ __all__ = [
     "LPSolution",
     "OPTIMAL",
     "PanelModel",
+    "PeriodColumns",
     "PeriodRecord",
     "RatioStats",
     "SimulationReport",

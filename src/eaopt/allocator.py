@@ -191,7 +191,7 @@ class _Modes:
             t_right = (budgets - p_left * period) / (hp[seg + 1] - p_left)
             np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
         left = hull[seg]
-        below = self._infeasible(period, budgets)
+        below = self.infeasible(period, budgets)
         left[below] = self.off
         t_right[below] = 0.0
         return _Mix(left, hull[seg + 1], period - t_right, t_right)
@@ -203,7 +203,7 @@ class _Modes:
         off_power = self.power[self.off]
         t = (budgets[:, None] - off_power * period) / (self.power[None, : self.off] - off_power)
         np.minimum(np.maximum(t, 0.0, out=t), period, out=t)
-        t[self._infeasible(period, budgets)] = 0.0
+        t[self.infeasible(period, budgets)] = 0.0
         return _Mix(np.full((1, 1), self.off), np.arange(self.off)[None, :], period - t, t)
 
     def readings(self, mix: _Mix, utility: np.ndarray, period: float) -> np.ndarray:
@@ -215,32 +215,22 @@ class _Modes:
         return readings
 
     def solve(self, utility: np.ndarray, period: float, budgets: np.ndarray):
-        """Allocations of the optimal schedules, one per budget, and the
-        (P,) column of their objectives."""
+        """The optimal schedules, one per budget: (P, N+1) seconds per
+        mode, off last, and their (4, P) readings."""
         mix = self.optimal(utility, period, budgets)
         rows = np.arange(budgets.size)
         seconds = np.zeros((budgets.size, self.off + 1))
         seconds[rows, mix.left] = mix.t_left
         seconds[rows, mix.right] += mix.t_right
-        readings = self.readings(mix, utility, period)
-        allocations = _allocations(self.ids, seconds[:, : self.off], seconds[:, self.off],
-                                   readings, self._infeasible(period, budgets))
-        return allocations, readings[0]
+        return seconds, self.readings(mix, utility, period)
 
     def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray):
-        """Per design point, the Allocations of its static schedules, one
-        per budget, and the (P, N) objectives."""
+        """The static schedules: (P, N) seconds on each design point, off
+        for the rest of the period, and their (4, P, N) readings."""
         mix = self.static(period, budgets)
-        readings = self.readings(mix, utility, period)
-        infeasible = self._infeasible(period, budgets)
-        allocations = [
-            _allocations((dp_id,), mix.t_right[:, k : k + 1], mix.t_left[:, k],
-                         readings[:, :, k], infeasible)
-            for k, dp_id in enumerate(self.ids)
-        ]
-        return allocations, readings[0]
+        return mix.t_right, self.readings(mix, utility, period)
 
-    def _infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
+    def infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
         return _below_floor(budgets, period, self.power[self.off])
 
 
@@ -253,6 +243,19 @@ def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocati
             times.tolist(), off_time.tolist(), *(r.tolist() for r in readings),
             infeasible.tolist(),
         )
+    ]
+
+
+def _optimized_allocations(dp_ids, seconds, readings, infeasible) -> list[Allocation]:
+    """Allocations of _Modes.solve's schedules."""
+    return _allocations(dp_ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)
+
+
+def _static_allocations(dp_ids, period, t, readings, infeasible) -> list[list[Allocation]]:
+    """Per design point, the Allocations of _Modes.baselines' schedules."""
+    return [
+        _allocations((dp_id,), t[:, k : k + 1], period - t[:, k], readings[:, :, k], infeasible)
+        for k, dp_id in enumerate(dp_ids)
     ]
 
 
@@ -277,9 +280,10 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
     modes = _Modes(problem.catalog)
-    allocations, _ = modes.solve(modes.utility(problem.alpha), problem.period,
-                                 np.array([problem.budget]))
-    return allocations[0]
+    budgets = np.array([problem.budget])
+    seconds, readings = modes.solve(modes.utility(problem.alpha), problem.period, budgets)
+    infeasible = modes.infeasible(problem.period, budgets)
+    return _optimized_allocations(modes.ids, seconds, readings, infeasible)[0]
 
 
 def envelope_oracle(problem: AllocationProblem) -> float:
@@ -353,5 +357,7 @@ def static_dp_allocation(
             f"{dp.label}: power {dp.power!r} W must exceed off_power {off_power!r} W"
         )
     modes = _Modes(Catalog((dp,), off_power))
-    allocations, _ = modes.baselines(modes.utility(alpha), period, np.array([budget]))
-    return allocations[0][0]
+    budgets = np.array([budget])
+    t, readings = modes.baselines(modes.utility(alpha), period, budgets)
+    infeasible = modes.infeasible(period, budgets)
+    return _static_allocations(modes.ids, period, t, readings, infeasible)[0][0]

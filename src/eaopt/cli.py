@@ -297,7 +297,7 @@ def cmd_simulate(config: RunConfig) -> int:
         text = report_to_json(report) if config.format == "json" else report_to_csv(report)
         _emit(text, config.output)
     lines = [
-        f"periods: {len(report.records)}",
+        f"periods: {len(report.columns.budget)}",
         f"mean expected accuracy: {report.mean_expected_accuracy:.6g}",
         f"mean active fraction: {report.mean_active_fraction:.6g}",
     ]

@@ -180,12 +180,15 @@ def trace_to_budgets(
     if not (math.isfinite(period_length) and period_length > 0):
         raise TraceError(f"period length {period_length!r} must be finite and > 0")
     t0 = float(trace.times[0])
-    index = ((trace.times - t0) // period_length).astype(int)
+    # Bin against the reported starts themselves: (times - t0) // T can
+    # round a sample at a period start into the period before.  The
+    # floor is off by at most one, so one start past it is enough.
+    starts = t0 + period_length * np.arange(int((trace.times[-1] - t0) // period_length) + 2)
+    index = np.searchsorted(starts, trace.times, side="right") - 1
     budgets = np.bincount(index, weights=trace.values)
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
-    starts = t0 + period_length * np.arange(len(budgets))
-    return BudgetSeries(period_length, starts, budgets)
+    return BudgetSeries(period_length, starts[: len(budgets)], budgets)
 
 
 def synth_trace(

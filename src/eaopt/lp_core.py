@@ -32,6 +32,7 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 # Objective-row entries at or below this are treated as non-improving.
+# Phase 2 prices on c / max|c|, so there the test is relative.
 REDUCED_COST_TOL = 1e-12
 # Column entries must exceed this to join the ratio test.
 RATIO_TOL = 1e-9
@@ -293,7 +294,7 @@ def solve_lp(lp: StandardFormLP, max_iterations=None, pivot_log=None) -> LPSolut
     max_iterations counts pivots across both phases and defaults to
     50 * (n + number of constraints).  pivot_log, when a list, receives one
     text line per pivot (iteration, phase, pivot column/row, rule,
-    objective value).
+    objective value; in phase 2 the value of c / max|c|).
     """
     lp.validate()
     if max_iterations is None:
@@ -313,7 +314,11 @@ def solve_lp(lp: StandardFormLP, max_iterations=None, pivot_log=None) -> LPSolut
         if float(tableau.matrix[-1, -1]) > FEAS_ABS + FEAS_REL * scale:
             return LPSolution(INFEASIBLE, None, float("nan"), tableau.iterations)
         _drive_out_artificials(tableau)
-    _install_phase2_objective(tableau, lp.objective)
+    # Price on c / max|c|, so the reduced-cost and degeneracy tests are
+    # relative to the objective's own scale rather than absolute.
+    c_scale = float(np.max(np.abs(lp.objective), initial=0.0))
+    priced = lp.objective / c_scale if c_scale > 0.0 else lp.objective
+    _install_phase2_objective(tableau, priced)
     status = _run_phase(tableau, max_iterations, pivot_log, phase=2)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, float("nan"), tableau.iterations)

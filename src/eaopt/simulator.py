@@ -15,13 +15,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .allocator import Allocation, _check_inputs, _Modes
+from .allocator import (
+    Allocation,
+    _check_inputs,
+    _Modes,
+    _optimized_allocations,
+    _static_allocations,
+)
 from .catalog import Catalog
 from .harvest import BudgetSeries
+from .lp_core import INFEASIBLE, OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -46,18 +54,58 @@ class PeriodRecord:
     ratios: dict[int, float | None]  # None when the static objective is 0
 
 
+@dataclass(frozen=True, eq=False)
+class PeriodColumns:
+    """Every period of a simulation as arrays, P periods by N design points.
+
+    Readings are the rows objective, expected_accuracy, active_fraction
+    and energy_used of each schedule."""
+
+    starts: np.ndarray  # (P,)
+    budget: np.ndarray  # (P,)
+    seconds: np.ndarray  # (P, N+1) optimized seconds per design point, off last
+    readings: np.ndarray  # (4, P) of the optimized schedules
+    static_t: np.ndarray  # (P, N) seconds each static schedule runs its design point
+    static_readings: np.ndarray  # (4, P, N) of the static schedules
+    ratios: np.ndarray  # (P, N) optimized / static objective, 0.0 where undefined
+    defined: np.ndarray  # (P, N) where the static objective is positive
+    infeasible: np.ndarray  # (P,) budgets below the keep-alive floor
+
+
 @dataclass(frozen=True)
 class SimulationReport:
+    """Aggregates of a simulation, and its periods as columns.
+
+    Equality and repr cover the aggregates only; records builds the
+    per-period objects from the columns on first access."""
+
     alpha: float
     period_length: float
     dp_ids: tuple[int, ...]
     dp_labels: tuple[str, ...]
-    records: tuple[PeriodRecord, ...]
     ratio_stats: dict[int, RatioStats]
     mean_expected_accuracy: float
     mean_active_fraction: float
     time_share: dict[int, float]  # fraction of total time on each DP
     off_share: float
+    columns: PeriodColumns = field(repr=False, compare=False)
+
+    @cached_property
+    def records(self) -> tuple[PeriodRecord, ...]:
+        """One PeriodRecord per period, in period order."""
+        c = self.columns
+        ids = self.dp_ids
+        optimized = _optimized_allocations(ids, c.seconds, c.readings, c.infeasible)
+        statics = _static_allocations(ids, self.period_length, c.static_t,
+                                      c.static_readings, c.infeasible)
+        cells = np.where(c.defined, c.ratios, None).tolist()
+        return tuple(
+            PeriodRecord(i, start, budget, opt, dict(zip(ids, row_statics)),
+                         dict(zip(ids, row_ratios)))
+            for i, (start, budget, opt, row_statics, row_ratios) in enumerate(
+                zip(c.starts.tolist(), c.budget.tolist(), optimized, zip(*statics), cells)
+            )
+        )
 
 
 def _checked(
@@ -115,34 +163,36 @@ def simulate(
     period_length, column = _checked(budgets, catalog, alpha, period_length)
     modes = _Modes(catalog)
     utility = modes.utility(alpha)
-    optimized, objective = modes.solve(utility, period_length, column)
-    statics, static_objective = modes.baselines(utility, period_length, column)
-    ratios, defined = _ratios(objective, static_objective)
-    cells = np.where(defined, ratios, None).tolist()
-    starts = np.asarray(budgets.starts, dtype=float).tolist()
-    records = tuple(
-        PeriodRecord(i, start, budget, opt, dict(zip(modes.ids, row_statics)),
-                     dict(zip(modes.ids, row_ratios)))
-        for i, (start, budget, opt, row_statics, row_ratios) in enumerate(
-            zip(starts, column.tolist(), optimized, zip(*statics), cells)
-        )
-    )
-    n = len(records)
+    seconds, readings = modes.solve(utility, period_length, column)
+    static_t, static_readings = modes.baselines(utility, period_length, column)
+    ratios, defined = _ratios(readings[0], static_readings[0])
+    n = column.size
     total_time = n * period_length
     return SimulationReport(
         alpha=alpha,
         period_length=period_length,
         dp_ids=catalog.ids,
         dp_labels=catalog.labels,
-        records=records,
         ratio_stats=_ratio_stats(ratios, defined, modes.ids),
-        mean_expected_accuracy=sum(a.expected_accuracy for a in optimized) / n,
-        mean_active_fraction=sum(a.active_fraction for a in optimized) / n,
+        mean_expected_accuracy=sum(readings[1].tolist()) / n,
+        mean_active_fraction=sum(readings[2].tolist()) / n,
         time_share={
-            dp_id: sum(a.times[k] for a in optimized) / total_time
+            dp_id: sum(seconds[:, k].tolist()) / total_time
             for k, dp_id in enumerate(modes.ids)
         },
-        off_share=sum(a.off_time for a in optimized) / total_time,
+        off_share=sum(seconds[:, modes.off].tolist()) / total_time,
+        columns=PeriodColumns(
+            # Copies, so that records built later do not see the caller's edits.
+            starts=np.array(budgets.starts, dtype=float),
+            budget=column.copy(),
+            seconds=seconds,
+            readings=readings,
+            static_t=static_t,
+            static_readings=static_readings,
+            ratios=ratios,
+            defined=defined,
+            infeasible=modes.infeasible(period_length, column),
+        ),
     )
 
 
@@ -250,14 +300,49 @@ def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_floats(values: np.ndarray) -> list:
+    """A float column spelled as json spells each value: float.__repr__
+    when finite, else Infinity, -Infinity or NaN."""
+    if np.isfinite(values).all():
+        return values.tolist()
+    return [json.dumps(v) for v in values.tolist()]
+
+
+def _blank_undefined(cells: list, defined: np.ndarray, blank: str) -> list:
+    return [cell if ok else blank for cell, ok in zip(cells, defined.tolist())]
+
+
+def _record_template(dp_ids: tuple[int, ...]) -> str:
+    """One record as json.dumps(indent=2) lays it out inside the records
+    list, with a %s for each value in the order report_to_json fills them."""
+    slot = "%s"
+
+    def allocation(ids):  # Allocation.to_dict fixes the key order
+        return Allocation(ids, (slot,) * len(ids), *(slot,) * 6).to_dict()
+
+    record = {
+        "index": slot,
+        "start": slot,
+        "budget": slot,
+        "optimized": allocation(dp_ids),
+        "statics": {str(i): allocation((i,)) for i in dp_ids},
+        "ratios": {str(i): slot for i in dp_ids},
+    }
+    text = json.dumps(record, indent=2).replace("%", "%%").replace('"%%s"', slot)
+    return "    " + text.replace("\n", "\n    ")
+
+
 def report_to_json(report: SimulationReport) -> str:
-    """Full report: aggregates plus every period record."""
-    payload = {
+    """Full report: aggregates plus every period record, laid out as
+    json.dumps(payload, indent=2) lays them out, rendered from the columns."""
+    c = report.columns
+    periods = len(c.budget)
+    head = {
         "alpha": report.alpha,
         "period_length": report.period_length,
         "dp_ids": list(report.dp_ids),
         "dp_labels": list(report.dp_labels),
-        "periods": len(report.records),
+        "periods": periods,
         "mean_expected_accuracy": report.mean_expected_accuracy,
         "mean_active_fraction": report.mean_active_fraction,
         "time_share": {str(i): s for i, s in report.time_share.items()},
@@ -272,19 +357,25 @@ def report_to_json(report: SimulationReport) -> str:
             }
             for i, st in report.ratio_stats.items()
         },
-        "records": [
-            {
-                "index": r.index,
-                "start": r.start,
-                "budget": r.budget,
-                "optimized": r.optimized.to_dict(),
-                "statics": {str(i): a.to_dict() for i, a in r.statics.items()},
-                "ratios": {str(i): v for i, v in r.ratios.items()},
-            }
-            for r in report.records
-        ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    status = [json.dumps(INFEASIBLE if below else OPTIMAL) for below in c.infeasible.tolist()]
+    fill = [range(periods), _json_floats(c.starts), _json_floats(c.budget)]
+    fill += [_json_floats(column) for column in c.seconds.T]
+    fill += [_json_floats(row) for row in c.readings]
+    fill.append(status)
+    static_off = report.period_length - c.static_t
+    for k in range(len(report.dp_ids)):
+        fill += [_json_floats(c.static_t[:, k]), _json_floats(static_off[:, k])]
+        fill += [_json_floats(row) for row in c.static_readings[:, :, k]]
+        fill.append(status)
+    fill += [
+        _blank_undefined(_json_floats(c.ratios[:, k]), c.defined[:, k], "null")
+        for k in range(len(report.dp_ids))
+    ]
+    template = _record_template(report.dp_ids)
+    records = ",\n".join(template % row for row in zip(*fill))
+    # json.dumps(head) ends in "\n}": the records go in before that brace.
+    return json.dumps(head, indent=2)[:-2] + ',\n  "records": [\n' + records + "\n  ]\n}\n"
 
 
 def report_to_csv(report: SimulationReport) -> str:
@@ -293,18 +384,15 @@ def report_to_csv(report: SimulationReport) -> str:
             "opt_active_fraction", "opt_off_time"]
     for dp_id in report.dp_ids:
         cols += [f"dp{dp_id}_time", f"dp{dp_id}_static_objective", f"dp{dp_id}_ratio"]
+    c = report.columns
+    # _cell's rules: %s spells a float as its repr and an int as its str.
+    fill = [range(len(c.budget)), c.starts.tolist(), c.budget.tolist()]
+    fill += c.readings[:3].tolist()
+    fill.append(c.seconds[:, -1].tolist())
+    for k in range(len(report.dp_ids)):
+        fill += [c.seconds[:, k].tolist(), c.static_readings[0, :, k].tolist(),
+                 _blank_undefined(c.ratios[:, k].tolist(), c.defined[:, k], "")]
+    template = ",".join(["%s"] * len(fill))
     lines = [",".join(cols)]
-    for r in report.records:
-        row: list = [
-            r.index,
-            r.start,
-            r.budget,
-            r.optimized.objective,
-            r.optimized.expected_accuracy,
-            r.optimized.active_fraction,
-            r.optimized.off_time,
-        ]
-        for k, dp_id in enumerate(report.dp_ids):
-            row += [r.optimized.times[k], r.statics[dp_id].objective, r.ratios[dp_id]]
-        lines.append(",".join(_cell(v) for v in row))
+    lines += [template % row for row in zip(*fill)]
     return "\n".join(lines) + "\n"

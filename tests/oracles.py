@@ -3,13 +3,21 @@
 brute_force_lp enumerates candidate vertices of small LPs directly from
 the constraint geometry, with none of the tableau machinery under test,
 so agreement with the simplex solver is meaningful evidence.
+
+reference_report_json and reference_report_csv serialize a simulation
+report the direct way, through its records and the json module; the
+column writers in eaopt.simulator must give the same bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
+from hypothesis import strategies as st
+
+from eaopt.catalog import Catalog, DesignPoint
 
 _FEAS_TOL = 1e-9
 
@@ -104,6 +112,45 @@ def random_catalog(rng: np.random.Generator, max_points: int = 100):
     return accuracies, powers, off_power
 
 
+# Design points drawn from small grids, so equal powers, equal
+# accuracies and exact twins are common.
+_ACCURACY = st.one_of(st.sampled_from([0.05, 0.5, 0.76, 0.9, 1.0]), st.floats(0.01, 1.0))
+_POWER = st.one_of(st.sampled_from([1e-4, 1.2e-3, 2e-3]), st.floats(1e-5, 1e-1))
+# Ids need not be 1..N: any distinct integers, large ones included.
+_IDS = st.one_of(st.just(None), st.lists(st.integers(0, 10**12), min_size=7, max_size=7,
+                                         unique=True))
+_PERIOD = st.one_of(st.sampled_from([60.0, 3600.0, 86400.0]), st.floats(60.0, 86400.0))
+
+
+@st.composite
+def degenerate_cases(draw):
+    """(catalog, period, budgets, alpha) with ties, twins, off_power = 0,
+    and budgets at zero, at the keep-alive floor and below it."""
+    points = draw(st.lists(st.tuples(_ACCURACY, _POWER), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))  # an exact twin
+    off_power = min(p for _, p in points) * draw(
+        st.one_of(st.just(0.0), st.floats(0.0, 0.9))
+    )
+    ids = draw(_IDS) or range(1, len(points) + 1)
+    catalog = Catalog(
+        tuple(DesignPoint(i, f"P{i}", a, p) for i, (a, p) in zip(ids, points)),
+        off_power,
+    )
+    period = draw(_PERIOD)
+    floor = off_power * period
+    top = max(p for _, p in points) * period
+    budget = st.one_of(
+        st.just(0.0),
+        st.just(floor),
+        st.floats(0.0, 1.0).map(lambda f: f * floor),  # below the floor
+        st.floats(0.0, 1.2).map(lambda f: floor + f * (top - floor)),
+    )
+    budgets = draw(st.lists(budget, min_size=1, max_size=5))
+    alpha = draw(st.floats(0.0, 64.0))
+    return catalog, period, budgets, alpha
+
+
 def highs_objective(catalog, period: float, budget: float, alpha: float) -> float:
     """Optimum from SciPy's HiGHS on the allocation LP rescaled to unit
     magnitudes: time as a share of the period, utility over the largest
@@ -132,3 +179,71 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     if res.status != 0:
         raise ArithmeticError(f"HiGHS status {res.status}: {res.message}")
     return -float(res.fun) * scale
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_report_json(report) -> str:
+    """Full report: aggregates plus every period record, via json.dumps."""
+    payload = {
+        "alpha": report.alpha,
+        "period_length": report.period_length,
+        "dp_ids": list(report.dp_ids),
+        "dp_labels": list(report.dp_labels),
+        "periods": len(report.records),
+        "mean_expected_accuracy": report.mean_expected_accuracy,
+        "mean_active_fraction": report.mean_active_fraction,
+        "time_share": {str(i): s for i, s in report.time_share.items()},
+        "off_share": report.off_share,
+        "ratio_stats": {
+            str(i): {
+                "mean": st.mean,
+                "min": st.min,
+                "max": st.max,
+                "defined": st.defined,
+                "undefined": st.undefined,
+            }
+            for i, st in report.ratio_stats.items()
+        },
+        "records": [
+            {
+                "index": r.index,
+                "start": r.start,
+                "budget": r.budget,
+                "optimized": r.optimized.to_dict(),
+                "statics": {str(i): a.to_dict() for i, a in r.statics.items()},
+                "ratios": {str(i): v for i, v in r.ratios.items()},
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_report_csv(report) -> str:
+    """One row per period, cell by cell; undefined ratios are empty."""
+    cols = ["index", "start", "budget_j", "opt_objective", "opt_expected_accuracy",
+            "opt_active_fraction", "opt_off_time"]
+    for dp_id in report.dp_ids:
+        cols += [f"dp{dp_id}_time", f"dp{dp_id}_static_objective", f"dp{dp_id}_ratio"]
+    lines = [",".join(cols)]
+    for r in report.records:
+        row: list = [
+            r.index,
+            r.start,
+            r.budget,
+            r.optimized.objective,
+            r.optimized.expected_accuracy,
+            r.optimized.active_fraction,
+            r.optimized.off_time,
+        ]
+        for k, dp_id in enumerate(report.dp_ids):
+            row += [r.optimized.times[k], r.statics[dp_id].objective, r.ratios[dp_id]]
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -207,6 +207,26 @@ class TestBudgetRebin:
         series = trace_to_budgets(trace, PANEL, HOUR)
         assert list(series.budgets) == [1.0, 0.0, 3.0]
 
+    def test_samples_at_offset_period_starts(self):
+        # (128.01 - 8.01) / 60 is 1.9999999999999998, yet 128.01 is a period start.
+        rows = [(f"{8.01 + 60 * k:.2f}", 1.0) for k in range(6)]
+        trace = load_trace(io.StringIO(trace_text("budget", rows)))
+        series = trace_to_budgets(trace, PANEL, 60.0)
+        assert list(series.budgets) == [1.0] * 6
+        assert list(series.starts) == list(trace.times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(0.0, 1e6),
+        period=st.floats(1.0, 86400.0),
+        count=st.integers(1, 40),
+    )
+    def test_each_sample_at_a_period_start_fills_that_period(self, t0, period, count):
+        times = t0 + period * np.arange(count)
+        series = trace_to_budgets(HarvestTrace(times, np.ones(count), BUDGET), PANEL, period)
+        assert series.budgets.tolist() == [1.0] * count
+        assert series.starts.tolist() == times.tolist()
+
     def test_cap_applies(self):
         trace = load_trace(io.StringIO(trace_text("budget", [(0, 10.0)])))
         panel = PanelModel(budget_cap=4.0)

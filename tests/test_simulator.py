@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from eaopt.catalog import builtin_table1
+from eaopt import simulator
+from eaopt.catalog import Catalog, DesignPoint, builtin_table1
+from eaopt.cli import main
 from eaopt.harvest import BudgetSeries, PanelModel, synth_trace, trace_to_budgets
 from eaopt.simulator import (
     alpha_sweep_to_csv,
@@ -17,6 +20,7 @@ from eaopt.simulator import (
     sweep_budget,
     sweep_to_csv,
 )
+from oracles import degenerate_cases, reference_report_csv, reference_report_json
 
 HOUR = 3600.0
 CATALOG = builtin_table1()
@@ -116,6 +120,7 @@ class TestSimulate:
     def test_reports_are_reproducible(self):
         a = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
         b = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
+        assert a == b
         assert report_to_json(a) == report_to_json(b)
         assert report_to_csv(a) == report_to_csv(b)
 
@@ -212,3 +217,60 @@ class TestReportSerialization:
             "index", "start", "budget_j", "opt_objective",
             "opt_expected_accuracy", "opt_active_fraction", "opt_off_time",
         ]
+
+
+# A design point whose utility is subnormal at alpha = 64: its static
+# objective is positive but tiny, so the ratio overflows to inf, which
+# json spells Infinity.
+_SUBNORMAL = (
+    Catalog((DesignPoint(7, "A", 1e-5, 1e-3), DesignPoint(10**12, "B", 1.0, 2e-3)), 0.0),
+    HOUR,
+    [0.0, 3.0, 5.0],
+    64.0,
+)
+_ONE_DP = (Catalog((DesignPoint(3, "only", 0.8, 1e-3),), 1e-4), 60.0, [0.0, 0.006, 0.03], 1.0)
+
+
+class TestColumnWriters:
+    """The column writers give exactly the bytes of the record-walking
+    reference writers in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=degenerate_cases())
+    @example(case=_SUBNORMAL)
+    @example(case=_ONE_DP)
+    def test_bytes_equal_reference(self, case):
+        catalog, period, budgets, alpha = case
+        series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+        report = simulate(series, catalog, alpha)
+        assert report_to_json(report) == reference_report_json(report)
+        assert report_to_csv(report) == reference_report_csv(report)
+
+    def test_builtin_month_at_alpha_2(self):
+        report = simulate(month_series(), CATALOG, alpha=2.0)
+        assert report_to_json(report) == reference_report_json(report)
+        assert report_to_csv(report) == reference_report_csv(report)
+
+
+class TestLazyRecords:
+    @pytest.fixture
+    def no_records(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a PeriodRecord was built")
+
+        monkeypatch.setattr(simulator, "PeriodRecord", refuse)
+
+    def test_writers_build_no_record(self, no_records):
+        report = simulate(month_series(noise=0.2, seed=4), CATALOG, alpha=2.0)
+        report_to_json(report)
+        report_to_csv(report)
+        with pytest.raises(AssertionError, match="PeriodRecord"):
+            report.records
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cli_simulate_builds_no_record(self, no_records, tmp_path, capsys, fmt):
+        path = tmp_path / f"report.{fmt}"
+        code = main(["simulate", "--trace", "synth:2d", "--format", fmt, "--output", str(path)])
+        assert code == 0
+        assert "periods: 48" in capsys.readouterr().out
+        assert path.stat().st_size > 0
