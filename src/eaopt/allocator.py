@@ -172,8 +172,17 @@ class _Modes:
             hull.append(k)
         return np.array([kept[k] for k in hull])
 
-    def optimal(self, utility: np.ndarray, period: float, budgets: np.ndarray) -> _Mix:
-        """The optimal schedule for each budget.  The mean power
+    def readings(self, mix: _Mix, utility: np.ndarray, period: float) -> np.ndarray:
+        """Rows objective, expected_accuracy, active_fraction and
+        energy_used of each schedule: one expression, with the weight
+        swapped."""
+        readings = mix.weigh(np.array((utility, self.accuracy, self.active, self.power)))
+        readings[:3] /= period
+        return readings
+
+    def solve(self, utility: np.ndarray, period: float, budgets: np.ndarray):
+        """The optimal schedules, one per budget: (P, N+1) seconds per
+        mode, off last, and their (4, P) readings.  The mean power
         budget/period falls on one envelope segment (left, right):
         t_right = (budget - p_left T) / (p_right - p_left), clipped to
         [0, T], and t_left = T - t_right."""
@@ -194,30 +203,7 @@ class _Modes:
         below = self.infeasible(period, budgets)
         left[below] = self.off
         t_right[below] = 0.0
-        return _Mix(left, hull[seg + 1], period - t_right, t_right)
-
-    def static(self, period: float, budgets: np.ndarray) -> _Mix:
-        """(P, N) single-mode schedules: design point k alone until the
-        budget is spent, t = (budget - off_power T) / (power - off_power)
-        clipped to [0, T], off for the rest; all off below the floor."""
-        off_power = self.power[self.off]
-        t = (budgets[:, None] - off_power * period) / (self.power[None, : self.off] - off_power)
-        np.minimum(np.maximum(t, 0.0, out=t), period, out=t)
-        t[self.infeasible(period, budgets)] = 0.0
-        return _Mix(np.full((1, 1), self.off), np.arange(self.off)[None, :], period - t, t)
-
-    def readings(self, mix: _Mix, utility: np.ndarray, period: float) -> np.ndarray:
-        """Rows objective, expected_accuracy, active_fraction and
-        energy_used of each schedule: one expression, with the weight
-        swapped."""
-        readings = mix.weigh(np.array((utility, self.accuracy, self.active, self.power)))
-        readings[:3] /= period
-        return readings
-
-    def solve(self, utility: np.ndarray, period: float, budgets: np.ndarray):
-        """The optimal schedules, one per budget: (P, N+1) seconds per
-        mode, off last, and their (4, P) readings."""
-        mix = self.optimal(utility, period, budgets)
+        mix = _Mix(left, hull[seg + 1], period - t_right, t_right)
         rows = np.arange(budgets.size)
         seconds = np.zeros((budgets.size, self.off + 1))
         seconds[rows, mix.left] = mix.t_left
@@ -226,9 +212,16 @@ class _Modes:
 
     def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray):
         """The static schedules: (P, N) seconds on each design point, off
-        for the rest of the period, and their (4, P, N) readings."""
-        mix = self.static(period, budgets)
-        return mix.t_right, self.readings(mix, utility, period)
+        for the rest of the period, and their (4, P, N) readings.  Design
+        point k runs alone until the budget is spent,
+        t = (budget - off_power T) / (power - off_power) clipped to
+        [0, T]; all off below the floor."""
+        off_power = self.power[self.off]
+        t = (budgets[:, None] - off_power * period) / (self.power[None, : self.off] - off_power)
+        np.minimum(np.maximum(t, 0.0, out=t), period, out=t)
+        t[self.infeasible(period, budgets)] = 0.0
+        mix = _Mix(np.full((1, 1), self.off), np.arange(self.off)[None, :], period - t, t)
+        return t, self.readings(mix, utility, period)
 
     def infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
         return _below_floor(budgets, period, self.power[self.off])

@@ -14,6 +14,7 @@ irradiance generator.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -32,7 +33,6 @@ from .simulator import (
     sweep_budget,
     sweep_to_csv,
 )
-import json
 
 
 class UsageError(ValueError):
@@ -66,12 +66,12 @@ class RunConfig:
     output: str | None = None
 
 
-_FLOAT_KEYS = {
-    "period", "off_power", "alpha", "budget", "panel_area", "panel_efficiency",
-    "budget_cap", "synth_peak", "synth_day_fraction", "synth_noise",
+# Each config key converts its value to its RunConfig field's type; the
+# annotations are strings such as "float" and "int | None".
+_KEY_TYPES = {
+    f.name: {"float": float, "int": int, "str": str}[f.type.split(" | ")[0]]
+    for f in fields(RunConfig)
 }
-_INT_KEYS = {"synth_seed"}
-_STR_KEYS = {"catalog", "budget_range", "trace", "alpha_list", "format", "output"}
 
 
 def load_config_file(path: str) -> dict:
@@ -90,13 +90,10 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key in _STR_KEYS:
-            values[key] = value
-            continue
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+        if key not in _KEY_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = float(value) if key in _FLOAT_KEYS else int(value)
+            values[key] = _KEY_TYPES[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return values

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -108,25 +109,6 @@ class SimulationReport:
         )
 
 
-def _checked(
-    budgets: BudgetSeries, catalog: Catalog, alpha: float, period_length: float | None
-) -> tuple[float, np.ndarray]:
-    """The period length and the budgets as a float array, once every
-    input is checked."""
-    if period_length is None:
-        period_length = budgets.period_length
-    elif not math.isclose(period_length, budgets.period_length, rel_tol=1e-9):
-        raise ValueError(
-            f"period length {period_length!r} does not match the budget series "
-            f"({budgets.period_length!r})"
-        )
-    if len(budgets) == 0:
-        raise ValueError("budget series is empty")
-    column = np.asarray(budgets.budgets, dtype=float)
-    _check_inputs(period_length, column.tolist(), alpha, catalog)
-    return period_length, column
-
-
 def _ratio_stats(
     ratios: np.ndarray, defined: np.ndarray, dp_ids: tuple[int, ...]
 ) -> dict[int, RatioStats]:
@@ -160,7 +142,17 @@ def simulate(
     period_length: float | None = None,
 ) -> SimulationReport:
     """One optimized-vs-static record per period, plus aggregates."""
-    period_length, column = _checked(budgets, catalog, alpha, period_length)
+    if period_length is None:
+        period_length = budgets.period_length
+    elif not math.isclose(period_length, budgets.period_length, rel_tol=1e-9):
+        raise ValueError(
+            f"period length {period_length!r} does not match the budget series "
+            f"({budgets.period_length!r})"
+        )
+    if len(budgets) == 0:
+        raise ValueError("budget series is empty")
+    column = np.asarray(budgets.budgets, dtype=float)
+    _check_inputs(period_length, column.tolist(), alpha, catalog)
     modes = _Modes(catalog)
     utility = modes.utility(alpha)
     seconds, readings = modes.solve(utility, period_length, column)
@@ -233,71 +225,46 @@ def sweep_alpha(
     alphas: list[float],
     period_length: float | None = None,
 ) -> list[AlphaPoint]:
-    """Aggregate normalized ratios (with min/max bounds) for each alpha."""
-    points = []
-    static = None
-    for alpha in map(float, alphas):
-        period, column = _checked(budgets, catalog, alpha, period_length)
-        if static is None:  # the static schedules do not depend on alpha
-            modes = _Modes(catalog)
-            static = modes.static(period, column)
-        utility = modes.utility(alpha)
-        optimal = modes.optimal(utility, period, column)
-        ratios, defined = _ratios(optimal.weigh(utility) / period, static.weigh(utility) / period)
-        points.append(AlphaPoint(alpha, _ratio_stats(ratios, defined, modes.ids)))
-    return points
+    """Aggregate normalized ratios (with min/max bounds) for each alpha,
+    one simulation per alpha."""
+    return [
+        AlphaPoint(alpha, simulate(budgets, catalog, alpha, period_length).ratio_stats)
+        for alpha in map(float, alphas)
+    ]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv(cols: list[str], fill: list) -> str:
+    """The header row, then one row per index of the equal-length columns
+    in fill.  %s spells a float as its repr and an int as its str; a
+    blank cell is ""."""
+    template = ",".join(["%s"] * len(fill))
+    lines = [",".join(cols)]
+    lines += [template % row for row in zip(*fill)]
+    return "\n".join(lines) + "\n"
 
 
 def sweep_to_csv(points: tuple[PeriodRecord, ...], catalog: Catalog) -> str:
     """One row per budget: optimizer metrics then each static baseline's."""
-    cols = ["budget_j", "opt_objective", "opt_expected_accuracy", "opt_active_fraction"]
-    for dp in catalog:
-        cols += [
-            f"dp{dp.id}_objective",
-            f"dp{dp.id}_expected_accuracy",
-            f"dp{dp.id}_active_fraction",
-        ]
-    lines = [",".join(cols)]
-    for pt in points:
-        row = [
-            pt.budget,
-            pt.optimized.objective,
-            pt.optimized.expected_accuracy,
-            pt.optimized.active_fraction,
-        ]
-        for dp in catalog:
-            static = pt.statics[dp.id]
-            row += [static.objective, static.expected_accuracy, static.active_fraction]
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cols, fill = ["budget_j"], [[pt.budget for pt in points]]
+    schedules = [("opt", [pt.optimized for pt in points])]
+    schedules += [(f"dp{dp.id}", [pt.statics[dp.id] for pt in points]) for dp in catalog]
+    for name, allocations in schedules:
+        for metric in ("objective", "expected_accuracy", "active_fraction"):
+            cols.append(f"{name}_{metric}")
+            fill.append(list(map(attrgetter(metric), allocations)))
+    return _csv(cols, fill)
 
 
 def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
-    cols = ["alpha"]
+    """One row per alpha: each design point's ratio stats; None is blank."""
+    cols, fill = ["alpha"], [[pt.alpha for pt in points]]
     for dp in catalog:
-        cols += [
-            f"dp{dp.id}_ratio_mean",
-            f"dp{dp.id}_ratio_min",
-            f"dp{dp.id}_ratio_max",
-            f"dp{dp.id}_defined",
-            f"dp{dp.id}_undefined",
-        ]
-    lines = [",".join(cols)]
-    for pt in points:
-        row: list = [pt.alpha]
-        for dp in catalog:
-            stats = pt.ratio_stats[dp.id]
-            row += [stats.mean, stats.min, stats.max, stats.defined, stats.undefined]
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        stats = [pt.ratio_stats[dp.id] for pt in points]
+        for metric in ("ratio_mean", "ratio_min", "ratio_max", "defined", "undefined"):
+            cols.append(f"dp{dp.id}_{metric}")
+            values = map(attrgetter(metric.removeprefix("ratio_")), stats)
+            fill.append(["" if v is None else v for v in values])
+    return _csv(cols, fill)
 
 
 def _json_floats(values: np.ndarray) -> list:
@@ -385,14 +352,10 @@ def report_to_csv(report: SimulationReport) -> str:
     for dp_id in report.dp_ids:
         cols += [f"dp{dp_id}_time", f"dp{dp_id}_static_objective", f"dp{dp_id}_ratio"]
     c = report.columns
-    # _cell's rules: %s spells a float as its repr and an int as its str.
     fill = [range(len(c.budget)), c.starts.tolist(), c.budget.tolist()]
     fill += c.readings[:3].tolist()
     fill.append(c.seconds[:, -1].tolist())
     for k in range(len(report.dp_ids)):
         fill += [c.seconds[:, k].tolist(), c.static_readings[0, :, k].tolist(),
                  _blank_undefined(c.ratios[:, k].tolist(), c.defined[:, k], "")]
-    template = ",".join(["%s"] * len(fill))
-    lines = [",".join(cols)]
-    lines += [template % row for row in zip(*fill)]
-    return "\n".join(lines) + "\n"
+    return _csv(cols, fill)

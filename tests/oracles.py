@@ -5,8 +5,10 @@ the constraint geometry, with none of the tableau machinery under test,
 so agreement with the simplex solver is meaningful evidence.
 
 reference_report_json and reference_report_csv serialize a simulation
-report the direct way, through its records and the json module; the
-column writers in eaopt.simulator must give the same bytes.
+report the direct way, through its records and the json module, and
+reference_sweep_csv and reference_alpha_sweep_csv write the two sweep
+CSVs cell by cell; the column writers in eaopt.simulator must give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -245,5 +247,51 @@ def reference_report_csv(report) -> str:
         ]
         for k, dp_id in enumerate(report.dp_ids):
             row += [r.optimized.times[k], r.statics[dp_id].objective, r.ratios[dp_id]]
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_sweep_csv(points, catalog) -> str:
+    """One row per budget record, cell by cell: optimizer metrics then
+    each static baseline's."""
+    cols = ["budget_j", "opt_objective", "opt_expected_accuracy", "opt_active_fraction"]
+    for dp in catalog:
+        cols += [
+            f"dp{dp.id}_objective",
+            f"dp{dp.id}_expected_accuracy",
+            f"dp{dp.id}_active_fraction",
+        ]
+    lines = [",".join(cols)]
+    for pt in points:
+        row = [
+            pt.budget,
+            pt.optimized.objective,
+            pt.optimized.expected_accuracy,
+            pt.optimized.active_fraction,
+        ]
+        for dp in catalog:
+            static = pt.statics[dp.id]
+            row += [static.objective, static.expected_accuracy, static.active_fraction]
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_alpha_sweep_csv(points, catalog) -> str:
+    """One row per alpha point, cell by cell; None stats are empty."""
+    cols = ["alpha"]
+    for dp in catalog:
+        cols += [
+            f"dp{dp.id}_ratio_mean",
+            f"dp{dp.id}_ratio_min",
+            f"dp{dp.id}_ratio_max",
+            f"dp{dp.id}_defined",
+            f"dp{dp.id}_undefined",
+        ]
+    lines = [",".join(cols)]
+    for pt in points:
+        row: list = [pt.alpha]
+        for dp in catalog:
+            stats = pt.ratio_stats[dp.id]
+            row += [stats.mean, stats.min, stats.max, stats.defined, stats.undefined]
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -273,23 +273,36 @@ class TestTieRule:
         assert allocation.times == (0.0, PERIOD, 0.0)
 
 
+def _allocator_objective(prob: AllocationProblem) -> float:
+    return optimize_allocation(prob).objective
+
+
+def _simplex_objective(prob: AllocationProblem) -> float:
+    solution = solve_lp(build_problem(prob))
+    assert solution.status == OPTIMAL
+    return solution.objective
+
+
+@pytest.mark.parametrize("objective", [_allocator_objective, _simplex_objective],
+                         ids=["optimize_allocation", "solve_lp"])
 class TestSmallUtilityReproducers:
     """Optima whose utilities are tiny or nearly equal, where a solver
     with absolute tolerances stops early; references from exact
-    rational arithmetic on the envelope (HiGHS agrees)."""
+    rational arithmetic on the envelope (HiGHS agrees).  Each is solved
+    by the allocator and by the simplex on build_problem's LP."""
 
-    def test_builtin_tiny_alpha(self):
-        allocation = optimize_allocation(problem(7.0, alpha=1.192092896e-07))
-        assert allocation.objective == pytest.approx(0.9999999903995453, rel=1e-12)
+    def test_builtin_tiny_alpha(self, objective):
+        value = objective(problem(7.0, alpha=1.192092896e-07))
+        assert value == pytest.approx(0.9999999903995453, rel=1e-12)
 
-    def test_two_points_alpha_40(self):
+    def test_two_points_alpha_40(self, objective):
         catalog = Catalog(
             (DesignPoint(1, "A", 0.5, 1e-3), DesignPoint(2, "B", 0.6, 2e-3)), 1e-5
         )
-        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.0, 40.0, catalog))
-        assert allocation.objective == pytest.approx(9.262457131605276e-10, rel=1e-12)
+        value = objective(AllocationProblem(PERIOD, 5.0, 40.0, catalog))
+        assert value == pytest.approx(9.262457131605276e-10, rel=1e-12)
 
-    def test_three_points_alpha_12(self):
+    def test_three_points_alpha_12(self, objective):
         catalog = Catalog(
             (
                 DesignPoint(1, "A", 0.05, 1e-3),
@@ -298,8 +311,8 @@ class TestSmallUtilityReproducers:
             ),
             1e-5,
         )
-        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.0, 12.0, catalog))
-        assert allocation.objective == pytest.approx(1.8889394277220377e-09, rel=1e-12)
+        value = objective(AllocationProblem(PERIOD, 5.0, 12.0, catalog))
+        assert value == pytest.approx(1.8889394277220377e-09, rel=1e-12)
 
 
 class TestEngineProperties:

@@ -3,6 +3,7 @@
 import gc
 import json
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -258,6 +259,24 @@ class TestConfigMerge:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "optimize", "--config", "/nope.conf", "--budget", "5")
         assert code == 1 and "config" in err
+
+    # A sample value per RunConfig annotation, and the value it loads as.
+    _SAMPLES = {
+        "float": ("0.25", 0.25),
+        "float | None": ("0.25", 0.25),
+        "int | None": ("7", 7),
+        "str": ("a.csv", "a.csv"),
+        "str | None": ("a.csv", "a.csv"),
+    }
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_field_loads_with_its_type(self, tmp_path, field):
+        text, expected = self._SAMPLES[field.type]
+        config = tmp_path / "run.conf"
+        config.write_text(f"{field.name} = {text}\n")
+        values = load_config_file(str(config))
+        assert values == {field.name: expected}
+        assert type(values[field.name]) is type(expected)
 
     def test_defaults(self):
         config = RunConfig()

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 
 from eaopt import simulator
+from eaopt.allocator import AllocationProblem, optimize_allocation, static_dp_allocation
 from eaopt.catalog import Catalog, DesignPoint, builtin_table1
 from eaopt.cli import main
 from eaopt.harvest import BudgetSeries, PanelModel, synth_trace, trace_to_budgets
 from eaopt.simulator import (
+    RatioStats,
     alpha_sweep_to_csv,
     budget_grid,
     report_to_csv,
@@ -20,7 +22,13 @@ from eaopt.simulator import (
     sweep_budget,
     sweep_to_csv,
 )
-from oracles import degenerate_cases, reference_report_csv, reference_report_json
+from oracles import (
+    degenerate_cases,
+    reference_alpha_sweep_csv,
+    reference_report_csv,
+    reference_report_json,
+    reference_sweep_csv,
+)
 
 HOUR = 3600.0
 CATALOG = builtin_table1()
@@ -229,6 +237,9 @@ _SUBNORMAL = (
     64.0,
 )
 _ONE_DP = (Catalog((DesignPoint(3, "only", 0.8, 1e-3),), 1e-4), 60.0, [0.0, 0.006, 0.03], 1.0)
+# Every budget at or below the keep-alive floor (0.18 J): every ratio is
+# undefined, so the alpha sweep's mean, min and max cells are blank.
+_AT_FLOOR = (CATALOG, HOUR, [0.0, 0.1, 0.18], 2.0)
 
 
 class TestColumnWriters:
@@ -239,17 +250,65 @@ class TestColumnWriters:
     @given(case=degenerate_cases())
     @example(case=_SUBNORMAL)
     @example(case=_ONE_DP)
+    @example(case=_AT_FLOOR)
     def test_bytes_equal_reference(self, case):
         catalog, period, budgets, alpha = case
         series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
         report = simulate(series, catalog, alpha)
         assert report_to_json(report) == reference_report_json(report)
         assert report_to_csv(report) == reference_report_csv(report)
+        assert sweep_to_csv(report.records, catalog) == reference_sweep_csv(
+            report.records, catalog
+        )
+        points = sweep_alpha(catalog, series, [alpha, 0.0])
+        assert alpha_sweep_to_csv(points, catalog) == reference_alpha_sweep_csv(points, catalog)
 
     def test_builtin_month_at_alpha_2(self):
         report = simulate(month_series(), CATALOG, alpha=2.0)
         assert report_to_json(report) == reference_report_json(report)
         assert report_to_csv(report) == reference_report_csv(report)
+
+
+def _reference_ratio_stats(catalog, period, budgets, alpha) -> dict[int, RatioStats]:
+    """RatioStats from one optimize_allocation and one static_dp_allocation
+    call per period, summed in period order with Python floats."""
+    optimized = [
+        optimize_allocation(AllocationProblem(period, b, alpha, catalog)).objective
+        for b in budgets
+    ]
+    stats = {}
+    for dp in catalog:
+        values = []
+        for objective, budget in zip(optimized, budgets):
+            static = static_dp_allocation(dp, period, budget, catalog.off_power, alpha)
+            if static.objective > 0.0:
+                values.append(objective / static.objective)
+        stats[dp.id] = RatioStats(
+            mean=sum(values) / len(values) if values else None,
+            min=min(values) if values else None,
+            max=max(values) if values else None,
+            defined=len(values),
+            undefined=len(budgets) - len(values),
+        )
+    return stats
+
+
+class TestSweepAlphaReference:
+    """sweep_alpha against per-period single decisions, exactly."""
+
+    ALPHAS = [0.0, 0.5, 1.0, 8.0, 64.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=degenerate_cases())
+    @example(case=_SUBNORMAL)
+    @example(case=_AT_FLOOR)
+    def test_equals_per_period_decisions(self, case):
+        catalog, period, budgets, _ = case
+        series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+        points = sweep_alpha(catalog, series, self.ALPHAS)
+        assert [pt.alpha for pt in points] == self.ALPHAS
+        for pt in points:
+            assert pt.ratio_stats == _reference_ratio_stats(catalog, period, budgets, pt.alpha)
 
 
 class TestLazyRecords:
