@@ -34,7 +34,6 @@ from .harvest import (
     PanelModel,
     TraceError,
     budget_series_to_csv,
-    irradiance_to_budget,
     load_budget_series,
     load_trace,
     synth_trace,
@@ -99,7 +98,6 @@ __all__ = [
     "builtin_table1",
     "dominates",
     "envelope_oracle",
-    "irradiance_to_budget",
     "load_budget_series",
     "load_catalog",
     "load_trace",

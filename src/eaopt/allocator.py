@@ -343,13 +343,12 @@ def static_dp_allocation(
 
     The device runs dp for t seconds and idles the rest, so the budget
     supports t = (budget - off_power * period) / (power - off_power),
-    clipped to [0, period].
+    clipped to [0, period].  The inputs are checked as AllocationProblem
+    checks them.
     """
-    if dp.power <= off_power:
-        raise ValueError(
-            f"{dp.label}: power {dp.power!r} W must exceed off_power {off_power!r} W"
-        )
-    modes = _Modes(Catalog((dp,), off_power))
+    catalog = Catalog((dp,), off_power)
+    _check_inputs(period, (budget,), alpha, catalog)
+    modes = _Modes(catalog)
     budgets = np.array([budget])
     t, readings = modes.baselines(modes.utility(alpha), period, budgets)
     infeasible = modes.infeasible(period, budgets)

@@ -88,11 +88,25 @@ def _parse_pair(parts: list[str]) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def load_trace(source, fmt: str = "csv") -> HarvestTrace:
+def _read_pairs(source, header: str):
+    """Read a two-column numeric CSV.  Returns (meta, first column,
+    second column, line number of each row); see read_table."""
+    meta, rows, lines = read_table(source, header, _parse_pair, TraceError)
+    return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), lines
+
+
+def _reject(bad: np.ndarray, lines: list[int], message) -> None:
+    """Raise TraceError naming the line of the first row flagged in bad;
+    message(i) describes row i."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        i = int(flagged[0])
+        raise TraceError(f"line {lines[i]}: {message(i)}")
+
+
+def load_trace(source) -> HarvestTrace:
     """Parse a trace CSV from a path or file-like object."""
-    if fmt != "csv":
-        raise TraceError(f"unknown trace format {fmt!r}")
-    meta, rows, lines = read_table(source, TRACE_HEADER, _parse_pair, TraceError)
+    meta, times, values, lines = _read_pairs(source, TRACE_HEADER)
     mode = None
     units = None
     for lineno, body in meta:
@@ -108,87 +122,60 @@ def load_trace(source, fmt: str = "csv") -> HarvestTrace:
         raise TraceError(
             f"units {units!r} do not match mode {mode!r} (expected {_MODE_UNITS[mode]!r})"
         )
-    if not rows:
+    if not lines:
         raise TraceError("trace has no samples")
-    times = np.array([t for t, _ in rows])
-    values = np.array([v for _, v in rows])
-    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
-    if bad.size:
-        i = bad[0]
-        raise TraceError(f"line {lines[i]}: non-finite value in row {rows[i]!r}")
-    bad = np.flatnonzero(values < 0)
-    if bad.size:
-        i = bad[0]
-        raise TraceError(f"line {lines[i]}: negative value {rows[i][1]!r}")
-    bad = np.flatnonzero(np.diff(times, prepend=-np.inf) <= 0)
-    if bad.size:
-        i = bad[0]
-        raise TraceError(
-            f"line {lines[i]}: timestamp {rows[i][0]!r} not after previous {rows[i - 1][0]!r}"
-        )
+    _reject(~(np.isfinite(times) & np.isfinite(values)), lines,
+            lambda i: f"non-finite value in row {(float(times[i]), float(values[i]))!r}")
+    _reject(values < 0, lines, lambda i: f"negative value {float(values[i])!r}")
+    _reject(np.diff(times, prepend=-np.inf) <= 0, lines,
+            lambda i: f"timestamp {float(times[i])!r} not after previous "
+                      f"{float(times[i - 1])!r}")
     return HarvestTrace(times, values, mode)
-
-
-def _sample_durations(times: np.ndarray, period_length: float) -> np.ndarray:
-    """Hold times: each sample lasts until the next; the last sample
-    lasts as long as the previous gap (one period for a single sample)."""
-    if len(times) == 1:
-        return np.array([period_length])
-    gaps = np.diff(times)
-    return np.concatenate([gaps, gaps[-1:]])
-
-
-def irradiance_to_budget(
-    trace: HarvestTrace, panel: PanelModel, period_length: float
-) -> BudgetSeries:
-    """Integrate a piecewise-constant irradiance trace into per-period joules."""
-    if trace.mode != IRRADIANCE:
-        raise TraceError(f"expected an irradiance trace, got mode {trace.mode!r}")
-    if not (math.isfinite(period_length) and period_length > 0):
-        raise TraceError(f"period length {period_length!r} must be finite and > 0")
-    power = trace.values * panel.area * panel.efficiency  # watts
-    durations = _sample_durations(trace.times, period_length)
-    t0 = float(trace.times[0])
-    end = float(trace.times[-1]) + float(durations[-1])
-    n = max(1, math.ceil((end - t0) / period_length - 1e-9))
-    # Cut every hold at the period edges it crosses, then credit each
-    # piece's energy to the period it starts in.  An edge that is also a
-    # sample time makes a zero-width piece, which adds nothing.
-    edges = t0 + period_length * np.arange(1, n)
-    cuts = np.sort(np.concatenate([trace.times, [end], np.minimum(edges, end)]))
-    sample = np.searchsorted(trace.times, cuts[:-1], side="right") - 1
-    period = np.searchsorted(edges, cuts[:-1], side="right")
-    budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
-    if panel.budget_cap is not None:
-        budgets = np.minimum(budgets, panel.budget_cap)
-    starts = t0 + period_length * np.arange(n)
-    return BudgetSeries(period_length, starts, budgets)
 
 
 def trace_to_budgets(
     trace: HarvestTrace, panel: PanelModel, period_length: float
 ) -> BudgetSeries:
-    """Convert either trace mode to a BudgetSeries on the period grid.
+    """Convert either trace mode to a BudgetSeries on the period grid
+    that starts at the first sample.
 
-    Budget-mode samples are summed into the period containing their
-    timestamp; grid periods with no samples get a zero budget.
+    Irradiance is turned into power through the panel and integrated
+    exactly over each period.  Each sample holds until the next one;
+    the last sample holds for as long as the previous gap, or for one
+    period when the trace has a single sample.  Budget-mode samples are
+    summed into the period containing their timestamp; grid periods with
+    no samples get a zero budget.  budget_cap, when set, clips every
+    period's budget.
     """
-    if trace.mode == IRRADIANCE:
-        return irradiance_to_budget(trace, panel, period_length)
-    if trace.mode != BUDGET:
+    if trace.mode not in _MODE_UNITS:
         raise TraceError(f"unknown trace mode {trace.mode!r}")
     if not (math.isfinite(period_length) and period_length > 0):
         raise TraceError(f"period length {period_length!r} must be finite and > 0")
-    t0 = float(trace.times[0])
-    # Bin against the reported starts themselves: (times - t0) // T can
-    # round a sample at a period start into the period before.  The
-    # floor is off by at most one, so one start past it is enough.
-    starts = t0 + period_length * np.arange(int((trace.times[-1] - t0) // period_length) + 2)
-    index = np.searchsorted(starts, trace.times, side="right") - 1
-    budgets = np.bincount(index, weights=trace.values)
+    times = trace.times
+    t0 = float(times[0])
+    if trace.mode == IRRADIANCE:
+        power = trace.values * panel.area * panel.efficiency  # watts
+        last_hold = times[-1] - times[-2] if len(times) > 1 else period_length
+        end = float(times[-1]) + float(last_hold)
+        n = max(1, math.ceil((end - t0) / period_length - 1e-9))
+        # Cut every hold at the period edges it crosses, then credit each
+        # piece's energy to the period it starts in.  An edge that is also
+        # a sample time makes a zero-width piece, which adds nothing.
+        edges = t0 + period_length * np.arange(1, n)
+        cuts = np.sort(np.concatenate([times, [end], np.minimum(edges, end)]))
+        sample = np.searchsorted(times, cuts[:-1], side="right") - 1
+        period = np.searchsorted(edges, cuts[:-1], side="right")
+        budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
+    else:
+        # Bin against the reported starts themselves: (times - t0) // T can
+        # round a sample at a period start into the period before.  The
+        # floor is off by at most one, so one start past it is enough.
+        starts = t0 + period_length * np.arange(int((times[-1] - t0) // period_length) + 2)
+        index = np.searchsorted(starts, times, side="right") - 1
+        budgets = np.bincount(index, weights=trace.values)
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
-    return BudgetSeries(period_length, starts[: len(budgets)], budgets)
+    return BudgetSeries(period_length, t0 + period_length * np.arange(len(budgets)), budgets)
 
 
 def synth_trace(
@@ -236,25 +223,17 @@ def load_budget_series(source, period_length: float | None = None) -> BudgetSeri
     period_length defaults to the first gap between period starts (one
     hour for a single row).
     """
-    _, rows, lines = read_table(source, BUDGET_HEADER, _parse_pair, TraceError)
-    if not rows:
+    _, starts, budgets, lines = _read_pairs(source, BUDGET_HEADER)
+    if not lines:
         raise TraceError("budget series has no rows")
-    starts = np.array([s for s, _ in rows])
-    budgets = np.array([b for _, b in rows])
-    bad = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(budgets)) | (budgets < 0))
-    if bad.size:
-        i = bad[0]
-        raise TraceError(f"line {lines[i]}: bad values in row {rows[i]!r}")
+    _reject(~(np.isfinite(starts) & np.isfinite(budgets)) | (budgets < 0), lines,
+            lambda i: f"bad values in row {(float(starts[i]), float(budgets[i]))!r}")
     if period_length is None:
         period_length = float(starts[1] - starts[0]) if len(starts) > 1 else 3600.0
     if not (math.isfinite(period_length) and period_length > 0):
         raise TraceError(f"period length {period_length!r} must be finite and > 0")
     expected = starts[0] + period_length * np.arange(len(starts))
-    bad = np.flatnonzero(np.abs(starts - expected) > 1e-6 * np.maximum(1.0, np.abs(expected)))
-    if bad.size:
-        k = bad[0]
-        raise TraceError(
-            f"line {lines[k]}: period starts are not a contiguous grid: index {k} is "
-            f"{rows[k][0]!r}, expected {float(expected[k])!r}"
-        )
+    _reject(np.abs(starts - expected) > 1e-6 * np.maximum(1.0, np.abs(expected)), lines,
+            lambda k: f"period starts are not a contiguous grid: index {k} is "
+                      f"{float(starts[k])!r}, expected {float(expected[k])!r}")
     return BudgetSeries(float(period_length), starts, budgets)

@@ -109,10 +109,6 @@ class Tableau:
     iterations: int = 0
 
     @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0] - 1
-
-    @property
     def n_cols(self) -> int:
         return self.matrix.shape[1] - 1
 

@@ -135,20 +135,10 @@ def _ratios(objective: np.ndarray, static_objective: np.ndarray):
     return ratios, defined
 
 
-def simulate(
-    budgets: BudgetSeries,
-    catalog: Catalog,
-    alpha: float,
-    period_length: float | None = None,
-) -> SimulationReport:
-    """One optimized-vs-static record per period, plus aggregates."""
-    if period_length is None:
-        period_length = budgets.period_length
-    elif not math.isclose(period_length, budgets.period_length, rel_tol=1e-9):
-        raise ValueError(
-            f"period length {period_length!r} does not match the budget series "
-            f"({budgets.period_length!r})"
-        )
+def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> SimulationReport:
+    """One optimized-vs-static record per period of the series, plus
+    aggregates; the period length is the series'."""
+    period_length = budgets.period_length
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
     column = np.asarray(budgets.budgets, dtype=float)
@@ -220,15 +210,12 @@ class AlphaPoint:
 
 
 def sweep_alpha(
-    catalog: Catalog,
-    budgets: BudgetSeries,
-    alphas: list[float],
-    period_length: float | None = None,
+    catalog: Catalog, budgets: BudgetSeries, alphas: list[float]
 ) -> list[AlphaPoint]:
     """Aggregate normalized ratios (with min/max bounds) for each alpha,
     one simulation per alpha."""
     return [
-        AlphaPoint(alpha, simulate(budgets, catalog, alpha, period_length).ratio_stats)
+        AlphaPoint(alpha, simulate(budgets, catalog, alpha).ratio_stats)
         for alpha in map(float, alphas)
     ]
 

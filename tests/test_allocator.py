@@ -382,6 +382,27 @@ class TestStaticBaseline:
         with pytest.raises(ValueError, match="off_power"):
             static_dp_allocation(dp, PERIOD, 1.0, 5.0e-5)
 
+    @pytest.mark.parametrize(
+        "period, budget, alpha, match",
+        [
+            (float("nan"), 1.0, 1.0, "period"),
+            (0.0, 1.0, 1.0, "period"),
+            (-PERIOD, 1.0, 1.0, "period"),
+            (float("inf"), 1.0, 1.0, "period"),
+            (PERIOD, float("nan"), 1.0, "budget"),
+            (PERIOD, -1.0, 1.0, "budget"),
+            (PERIOD, float("inf"), 1.0, "budget"),
+            (PERIOD, 1.0, float("nan"), "alpha"),
+            (PERIOD, 1.0, -1.0, "alpha"),
+        ],
+    )
+    def test_rejects_what_allocation_problem_rejects(self, period, budget, alpha, match):
+        dp1 = builtin_table1().design_points[0]
+        with pytest.raises(ValueError, match=match):
+            AllocationProblem(period, budget, alpha, Catalog((dp1,), 5.0e-5))
+        with pytest.raises(ValueError, match=match):
+            static_dp_allocation(dp1, period, budget, 5.0e-5, alpha)
+
     @settings(max_examples=200, deadline=None)
     @given(
         budget=st.floats(min_value=0.18, max_value=15.0),

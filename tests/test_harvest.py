@@ -15,7 +15,6 @@ from eaopt.harvest import (
     PanelModel,
     TraceError,
     budget_series_to_csv,
-    irradiance_to_budget,
     load_budget_series,
     load_trace,
     synth_trace,
@@ -80,14 +79,38 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="no samples"):
             load_trace(io.StringIO("#mode: irradiance\ntimestamp,value\n"))
 
-    def test_unknown_format(self):
-        with pytest.raises(TraceError, match="format"):
-            load_trace(io.StringIO(""), fmt="parquet")
-
     def test_loads_from_path(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(trace_text("irradiance", [(0, 1.0)]))
         assert load_trace(path).mode == IRRADIANCE
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_trace, trace_text("irradiance", [(0, 1.0), ("nan", 2.0)]),
+         "line 4: non-finite value in row (nan, 2.0)"),
+        (load_trace, trace_text("irradiance", [(0, 1.0), (60, "inf")]),
+         "line 4: non-finite value in row (60.0, inf)"),
+        (load_trace, trace_text("budget", [(0, 1.0), (60, -0.5)]),
+         "line 4: negative value -0.5"),
+        (load_trace, trace_text("irradiance", [(0, 1.0), (60, 2.0), (60, 3.0)]),
+         "line 5: timestamp 60.0 not after previous 60.0"),
+        (load_budget_series, "period_start,budget_joules\nnan,1\n",
+         "line 2: bad values in row (nan, 1.0)"),
+        (load_budget_series, "period_start,budget_joules\n0,1\n3600,-2\n",
+         "line 3: bad values in row (3600.0, -2.0)"),
+        (load_budget_series, "period_start,budget_joules\n0,1\n3600,1\n10800,1\n",
+         "line 4: period starts are not a contiguous grid: index 2 is 10800.0, "
+         "expected 7200.0"),
+    ],
+    ids=["nan-timestamp", "inf-value", "negative-value", "equal-timestamp",
+         "nan-start", "negative-budget", "non-contiguous"],
+)
+def test_loader_value_check_names_the_line(load, text, message):
+    with pytest.raises(TraceError) as excinfo:
+        load(io.StringIO(text))
+    assert str(excinfo.value) == message
 
 
 class TestIrradianceIntegration:
@@ -97,13 +120,13 @@ class TestIrradianceIntegration:
         trace = load_trace(
             io.StringIO(trace_text("irradiance", [(0, 100.0), (1800, 200.0)]))
         )
-        series = irradiance_to_budget(trace, PANEL, HOUR)
+        series = trace_to_budgets(trace, PANEL, HOUR)
         assert len(series) == 1
         assert series.budgets[0] == pytest.approx(100 * 3e-4 * 1800 + 200 * 3e-4 * 1800)
 
     def test_single_sample_spans_one_period(self):
         trace = load_trace(io.StringIO(trace_text("irradiance", [(0, 50.0)])))
-        series = irradiance_to_budget(trace, PANEL, HOUR)
+        series = trace_to_budgets(trace, PANEL, HOUR)
         assert len(series) == 1
         assert series.budgets[0] == pytest.approx(50 * 3e-4 * HOUR)
 
@@ -113,7 +136,7 @@ class TestIrradianceIntegration:
         trace = load_trace(
             io.StringIO(trace_text("irradiance", [(0, 100.0), (3600, 0.0)]))
         )
-        series = irradiance_to_budget(trace, PANEL, 1800.0)
+        series = trace_to_budgets(trace, PANEL, 1800.0)
         assert len(series) == 4
         assert series.budgets[0] == pytest.approx(100 * 3e-4 * 1800)
         assert series.budgets[1] == pytest.approx(100 * 3e-4 * 1800)
@@ -124,18 +147,13 @@ class TestIrradianceIntegration:
             io.StringIO(trace_text("irradiance", [(0, 100.0), (3600, 200.0)]))
         )
         panel = PanelModel(area=2e-3, efficiency=0.15, budget_cap=50.0)
-        series = irradiance_to_budget(trace, panel, HOUR)
+        series = trace_to_budgets(trace, panel, HOUR)
         assert list(series.budgets) == [50.0, 50.0]
-
-    def test_wrong_mode_rejected(self):
-        trace = load_trace(io.StringIO(trace_text("budget", [(0, 1.0)])))
-        with pytest.raises(TraceError, match="irradiance"):
-            irradiance_to_budget(trace, PANEL, HOUR)
 
     def test_bad_period(self):
         trace = load_trace(io.StringIO(trace_text("irradiance", [(0, 1.0)])))
         with pytest.raises(TraceError, match="period"):
-            irradiance_to_budget(trace, PANEL, 0.0)
+            trace_to_budgets(trace, PANEL, 0.0)
 
     def test_start_off_the_period_grid(self):
         # 10.1 + 60 rounds so that (70.1 - 10.1) / 60 < 1: each hold must
@@ -143,7 +161,7 @@ class TestIrradianceIntegration:
         trace = load_trace(
             io.StringIO(trace_text("irradiance", [(10.1, 100.0), (190.1, 0.0)]))
         )
-        series = irradiance_to_budget(trace, PANEL, 60.0)
+        series = trace_to_budgets(trace, PANEL, 60.0)
         assert series.budgets.tolist() == pytest.approx([1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
@@ -165,7 +183,7 @@ class TestIrradianceIntegration:
         )
         times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
         trace = HarvestTrace(times, np.array(values), IRRADIANCE)
-        series = irradiance_to_budget(trace, PANEL, HOUR)
+        series = trace_to_budgets(trace, PANEL, HOUR)
         durations = np.concatenate([np.diff(times), np.diff(times)[-1:]]) if n > 1 else np.array([HOUR])
         total = float((np.array(values) * 3e-4 * durations).sum())
         assert float(series.budgets.sum()) == pytest.approx(total, rel=1e-9, abs=1e-9)

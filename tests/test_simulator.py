@@ -103,10 +103,6 @@ class TestSimulate:
         total = sum(report.time_share.values()) + report.off_share
         assert total == pytest.approx(1.0, rel=1e-9)
 
-    def test_period_length_mismatch(self):
-        with pytest.raises(ValueError, match="period length"):
-            simulate(constant_series(5.0), CATALOG, 1.0, period_length=1800.0)
-
     def test_empty_series(self):
         empty = BudgetSeries(HOUR, np.array([]), np.array([]))
         with pytest.raises(ValueError, match="empty"):
