@@ -157,7 +157,14 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     """Optimum from SciPy's HiGHS on the allocation LP rescaled to unit
     magnitudes: time as a share of the period, utility over the largest
     utility, power over the largest power.  0 when the budget cannot
-    cover the keep-alive floor."""
+    cover the keep-alive floor.
+
+    The off share is eliminated (off = 1 - sum of active shares), so the
+    budget row charges each design point its power above off_power.  An
+    off column would carry off_power / max power, which can fall below
+    HiGHS's small_matrix_value (1e-9); HiGHS drops such entries, and with
+    the floor uncharged it would run design points on a budget that only
+    covers the floor."""
     from scipy.optimize import linprog
 
     accuracy = np.array([dp.accuracy for dp in catalog])
@@ -168,11 +175,9 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
         return 0.0
     p_ref = float(power.max())
     res = linprog(
-        -np.append(utility / scale, 0.0),
-        A_ub=[np.append(power, catalog.off_power) / p_ref],
-        b_ub=[budget / (p_ref * period)],
-        A_eq=[np.ones(power.size + 1)],
-        b_eq=[1.0],
+        -utility / scale,
+        A_ub=[(power - catalog.off_power) / p_ref, np.ones(power.size)],
+        b_ub=[(budget / period - catalog.off_power) / p_ref, 1.0],
         bounds=(0.0, None),
         method="highs",
     )

@@ -318,6 +318,21 @@ class TestSmallUtilityReproducers:
 class TestEngineProperties:
     @settings(max_examples=300, deadline=None)
     @given(case=degenerate_cases())
+    @example(  # budget at the floor, off_power below HiGHS's smallest matrix entry
+        case=(
+            Catalog(
+                (
+                    DesignPoint(1, "P1", 0.05, 1e-4),
+                    DesignPoint(2, "P2", 0.05, 0.0625),
+                    DesignPoint(3, "P3", 0.05, 5e-5),
+                ),
+                5e-11,
+            ),
+            60.0,
+            [3e-9],
+            0.0,
+        )
+    )
     def test_matches_oracle_and_highs(self, case):
         pytest.importorskip("scipy.optimize")
         catalog, period, budgets, alpha = case
