@@ -1,23 +1,30 @@
 """Reader for the package's CSV files: '#' metadata lines, one header row,
 then comma-separated data rows.  Blank lines are skipped, and a line equal
-to the header is skipped wherever it appears."""
+to the header is skipped wherever it appears.
+
+load_catalog reads every file through this loop, because a catalog has a
+string column.  The two numeric loaders in harvest parse a clean file with
+np.loadtxt and come here only for a file that fast path cannot vouch for;
+the loop then decides both the values and the error text.
+"""
 
 from __future__ import annotations
 
+import os
+
 
 def read_table(source, header: str, parse, error: type[Exception]):
-    """Split a CSV from a path or file-like object into metadata and
-    parsed data rows.
+    """Split a CSV from a path, or from a file-like object or list of
+    lines, into metadata and parsed data rows.
 
-    The file is read line by line, so a large trace is never held as one
-    string.  parse maps one row's stripped fields to a row value and
+    parse maps one row's stripped fields to a row value and
     raises ValueError on a bad field.  Data before the header, a field
     count other than the header's, or a field parse rejects raise error
     naming the line.  Returns (meta, rows, lines): meta holds (line
     number, text after '#') for every '#' line, rows the parsed rows, and
     lines each row's line number.
     """
-    if not hasattr(source, "read"):
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             return read_table(fh, header, parse, error)
     names = header.split(",")

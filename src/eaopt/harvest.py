@@ -24,6 +24,8 @@ Trace CSV format::
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +91,83 @@ def _parse_pair(parts: list[str]) -> tuple[float, float]:
 
 
 def _read_pairs(source, header: str):
-    """Read a two-column numeric CSV.  Returns (meta, first column,
-    second column, line number of each row); see read_table."""
-    meta, rows, lines = read_table(source, header, _parse_pair, TraceError)
-    return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), lines
+    """Read a two-column numeric CSV from a path, a file-like object or a
+    list of lines.  Returns (meta, first column, second column, line
+    number of each row), as read_table does.
+
+    The leading '#' and blank lines are scanned as read_table scans them,
+    and the lines after the header go to np.loadtxt.  Its result is kept
+    when the first other line is the header, the lines after it hold no
+    '#', loadtxt raises no ValueError and warns of no empty input, and it
+    gives one row of two values per line.  loadtxt skips blank lines, so
+    that proves there were none, and row i sits on the header's line
+    plus 1 + i.  Any other file (metadata after the header, an inline
+    '#', a repeated header, a wrong field count, a spelling such as 1_000
+    that float() reads and loadtxt does not, a blank line in the body, no
+    rows) goes to the read_table loop, which decides both the values and
+    the error text.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            lines = list(fh)
+    else:
+        lines = list(source)
+    fast = _loadtxt_pairs(lines, header)
+    if fast is not None:
+        return fast
+    meta, rows, row_lines = read_table(lines, header, _parse_pair, TraceError)
+    return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), row_lines
 
 
-def _reject(bad: np.ndarray, lines: list[int], message) -> None:
-    """Raise TraceError naming the line of the first row flagged in bad;
-    message(i) describes row i."""
+def _loadtxt_pairs(lines: list[str], header: str):
+    """_read_pairs through np.loadtxt, or None where only the read_table
+    loop can tell."""
+    meta = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            meta.append((lineno, line[1:].strip()))
+        elif line:
+            break
+    else:
+        return None
+    body = lines[lineno:]
+    if [p.strip() for p in line.split(",")] != header.split(",") or not body \
+            or "#" in "".join(body):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape != (len(body), 2):
+        return None
+    first, second = table.T.copy()
+    return meta, first, second, range(lineno + 1, lineno + 1 + len(body))
+
+
+def _reject(bad: np.ndarray, lines, message, unit: str = "line") -> None:
+    """Raise TraceError naming the line (or other unit) of the first row
+    flagged in bad; message(i) describes row i."""
     flagged = np.flatnonzero(bad)
     if flagged.size:
         i = int(flagged[0])
-        raise TraceError(f"line {lines[i]}: {message(i)}")
+        raise TraceError(f"{unit} {lines[i]}: {message(i)}")
+
+
+def _check_samples(times: np.ndarray, values: np.ndarray, lines, unit: str = "line") -> None:
+    """Raise TraceError unless the trace has samples, all finite, with
+    non-negative values and strictly increasing times; the message names
+    unit lines[i] of the first bad sample i."""
+    if not len(lines):
+        raise TraceError("trace has no samples")
+    _reject(~(np.isfinite(times) & np.isfinite(values)), lines,
+            lambda i: f"non-finite value in row {(float(times[i]), float(values[i]))!r}", unit)
+    _reject(values < 0, lines, lambda i: f"negative value {float(values[i])!r}", unit)
+    _reject(np.diff(times, prepend=-np.inf) <= 0, lines,
+            lambda i: f"timestamp {float(times[i])!r} not after previous "
+                      f"{float(times[i - 1])!r}", unit)
 
 
 def load_trace(source) -> HarvestTrace:
@@ -122,14 +188,7 @@ def load_trace(source) -> HarvestTrace:
         raise TraceError(
             f"units {units!r} do not match mode {mode!r} (expected {_MODE_UNITS[mode]!r})"
         )
-    if not lines:
-        raise TraceError("trace has no samples")
-    _reject(~(np.isfinite(times) & np.isfinite(values)), lines,
-            lambda i: f"non-finite value in row {(float(times[i]), float(values[i]))!r}")
-    _reject(values < 0, lines, lambda i: f"negative value {float(values[i])!r}")
-    _reject(np.diff(times, prepend=-np.inf) <= 0, lines,
-            lambda i: f"timestamp {float(times[i])!r} not after previous "
-                      f"{float(times[i - 1])!r}")
+    _check_samples(times, values, lines)
     return HarvestTrace(times, values, mode)
 
 
@@ -145,13 +204,15 @@ def trace_to_budgets(
     period when the trace has a single sample.  Budget-mode samples are
     summed into the period containing their timestamp; grid periods with
     no samples get a zero budget.  budget_cap, when set, clips every
-    period's budget.
+    period's budget.  A trace load_trace would reject raises TraceError
+    naming the sample index.
     """
     if trace.mode not in _MODE_UNITS:
         raise TraceError(f"unknown trace mode {trace.mode!r}")
     if not (math.isfinite(period_length) and period_length > 0):
         raise TraceError(f"period length {period_length!r} must be finite and > 0")
     times = trace.times
+    _check_samples(times, trace.values, range(len(times)), "sample")
     t0 = float(times[0])
     if trace.mode == IRRADIANCE:
         power = trace.values * panel.area * panel.efficiency  # watts

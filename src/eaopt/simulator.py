@@ -6,9 +6,10 @@ performance ratios.  Periods are independent (no energy rollover), so
 records preserve input order and the whole run is reproducible.
 
 When a static baseline scores zero for a period (the budget covers only
-the keep-alive floor, or nothing at all), the ratio for that period is
-undefined; aggregates count those periods instead of folding infinities
-into the means.
+the keep-alive floor, or nothing at all), or so little that the ratio
+overflows, the ratio for that period is undefined; aggregates count those
+periods instead of folding infinities into the means, and the writers
+spell it null (JSON) or a blank cell (CSV).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lp_core import INFEASIBLE, OPTIMAL
 @dataclass(frozen=True)
 class RatioStats:
     """Aggregate of optimized/static objective ratios over periods where
-    the static objective is positive."""
+    the static objective is positive and the ratio finite."""
 
     mean: float | None
     min: float | None
@@ -52,7 +53,7 @@ class PeriodRecord:
     budget: float
     optimized: Allocation
     statics: dict[int, Allocation]
-    ratios: dict[int, float | None]  # None when the static objective is 0
+    ratios: dict[int, float | None]  # None when undefined (static objective 0, or ratio inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +70,7 @@ class PeriodColumns:
     static_t: np.ndarray  # (P, N) seconds each static schedule runs its design point
     static_readings: np.ndarray  # (4, P, N) of the static schedules
     ratios: np.ndarray  # (P, N) optimized / static objective, 0.0 where undefined
-    defined: np.ndarray  # (P, N) where the static objective is positive
+    defined: np.ndarray  # (P, N) where the static objective is positive and the ratio finite
     infeasible: np.ndarray  # (P,) budgets below the keep-alive floor
 
 
@@ -127,11 +128,15 @@ def _ratio_stats(
 
 
 def _ratios(objective: np.ndarray, static_objective: np.ndarray):
-    """(P, N) optimized / static objectives, and where they are defined
-    (static objective > 0); undefined entries hold 0.0."""
-    defined = static_objective > 0.0
-    ratios = np.divide(objective[:, None], static_objective,
-                       out=np.zeros_like(static_objective), where=defined)
+    """(P, N) optimized / static objectives, and where they are defined:
+    the static objective is positive and the ratio finite (a subnormal
+    static objective overflows it to inf).  Undefined entries hold 0.0."""
+    positive = static_objective > 0.0
+    with np.errstate(over="ignore"):
+        ratios = np.divide(objective[:, None], static_objective,
+                           out=np.zeros_like(static_objective), where=positive)
+    defined = positive & np.isfinite(ratios)
+    ratios[~defined] = 0.0
     return ratios, defined
 
 

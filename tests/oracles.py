@@ -5,7 +5,8 @@ the constraint geometry, with none of the tableau machinery under test,
 so agreement with the simplex solver is meaningful evidence.
 
 reference_report_json and reference_report_csv serialize a simulation
-report the direct way, through its records and the json module, and
+report the direct way, through its records and the json module, with
+each ratio recomputed from the record's objectives, and
 reference_sweep_csv and reference_alpha_sweep_csv write the two sweep
 CSVs cell by cell; the column writers in eaopt.simulator must give the
 same bytes.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -188,6 +190,15 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     return -float(res.fun) * scale
 
 
+def _ratio(optimized: float, static: float) -> float | None:
+    """optimized / static, or None where undefined: the static objective
+    is not positive, or the ratio overflows to inf."""
+    if static <= 0.0:
+        return None
+    ratio = optimized / static
+    return ratio if math.isfinite(ratio) else None
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -225,7 +236,10 @@ def reference_report_json(report) -> str:
                 "budget": r.budget,
                 "optimized": r.optimized.to_dict(),
                 "statics": {str(i): a.to_dict() for i, a in r.statics.items()},
-                "ratios": {str(i): v for i, v in r.ratios.items()},
+                "ratios": {
+                    str(i): _ratio(r.optimized.objective, a.objective)
+                    for i, a in r.statics.items()
+                },
             }
             for r in report.records
         ],
@@ -251,7 +265,8 @@ def reference_report_csv(report) -> str:
             r.optimized.off_time,
         ]
         for k, dp_id in enumerate(report.dp_ids):
-            row += [r.optimized.times[k], r.statics[dp_id].objective, r.ratios[dp_id]]
+            static = r.statics[dp_id].objective
+            row += [r.optimized.times[k], static, _ratio(r.optimized.objective, static)]
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -113,6 +113,22 @@ def test_loader_value_check_names_the_line(load, text, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "times, values, message",
+    [
+        ([], [], "trace has no samples"),
+        ([3600.0, 0.0], [1.0, 1.0], "sample 1: timestamp 0.0 not after previous 3600.0"),
+        ([0.0, 60.0], [1.0, -1.0], "sample 1: negative value -1.0"),
+    ],
+    ids=["empty", "decreasing-times", "negative-irradiance"],
+)
+def test_trace_to_budgets_checks_traces_built_in_python(times, values, message):
+    trace = HarvestTrace(np.array(times), np.array(values), IRRADIANCE)
+    with pytest.raises(TraceError) as excinfo:
+        trace_to_budgets(trace, PANEL, HOUR)
+    assert str(excinfo.value) == message
+
+
 class TestIrradianceIntegration:
     def test_two_samples_one_period(self):
         # 100 W/m2 for 1800 s then 200 W/m2 held for the same gap:

@@ -1,6 +1,7 @@
 """Simulation, sweep, and report-serialization tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ class TestReportSerialization:
 
 
 # A design point whose utility is subnormal at alpha = 64: its static
-# objective is positive but tiny, so the ratio overflows to inf, which
-# json spells Infinity.
+# objective is positive but tiny, so the ratio overflows to inf.  That
+# ratio is undefined: null in JSON, a blank CSV cell, counted in undefined.
 _SUBNORMAL = (
     Catalog((DesignPoint(7, "A", 1e-5, 1e-3), DesignPoint(10**12, "B", 1.0, 2e-3)), 0.0),
     HOUR,
@@ -265,6 +266,20 @@ class TestColumnWriters:
         assert report_to_csv(report) == reference_report_csv(report)
 
 
+def test_overflowed_ratio_is_strict_json():
+    catalog, period, budgets, alpha = _SUBNORMAL
+    series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(report_to_json(simulate(series, catalog, alpha)), parse_constant=refuse)
+    assert payload["ratio_stats"]["7"] == {
+        "mean": None, "min": None, "max": None, "defined": 0, "undefined": 3,
+    }
+    assert [r["ratios"]["7"] for r in payload["records"]] == [None, None, None]
+
+
 def _reference_ratio_stats(catalog, period, budgets, alpha) -> dict[int, RatioStats]:
     """RatioStats from one optimize_allocation and one static_dp_allocation
     call per period, summed in period order with Python floats."""
@@ -277,7 +292,7 @@ def _reference_ratio_stats(catalog, period, budgets, alpha) -> dict[int, RatioSt
         values = []
         for objective, budget in zip(optimized, budgets):
             static = static_dp_allocation(dp, period, budget, catalog.off_power, alpha)
-            if static.objective > 0.0:
+            if static.objective > 0.0 and math.isfinite(objective / static.objective):
                 values.append(objective / static.objective)
         stats[dp.id] = RatioStats(
             mean=sum(values) / len(values) if values else None,

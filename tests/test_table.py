@@ -1,11 +1,25 @@
-"""The shared '#'-metadata CSV reader, through each loader that uses it."""
+"""The shared '#'-metadata CSV reader, through each loader that uses it,
+and the np.loadtxt fast path of the numeric loaders against it."""
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eaopt._table import read_table
 from eaopt.catalog import CatalogError, load_catalog
-from eaopt.harvest import TraceError, load_budget_series, load_trace
+from eaopt.harvest import (
+    BUDGET_HEADER,
+    TRACE_HEADER,
+    TraceError,
+    _loadtxt_pairs,
+    _parse_pair,
+    _read_pairs,
+    load_budget_series,
+    load_trace,
+)
 
 # loader, its error type, metadata lines, header, a good row, a row with
 # one field too many or too few, and a row with a non-numeric field.
@@ -42,3 +56,97 @@ def test_malformed_rows_name_their_line(name, fault):
         message = "expected . fields" if fault == "field count" else "bad numeric field"
     with pytest.raises(error, match=f"^line {lineno}: {message}"):
         load(io.StringIO("\n".join(lines) + "\n"))
+
+
+def loop_pairs(source, header):
+    """_read_pairs as the line loop alone: the reference for its fast path."""
+    meta, rows, lines = read_table(source, header, _parse_pair, TraceError)
+    return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), lines
+
+
+def outcome(read, text, header):
+    """What read gives for text: its four results with each array as its
+    dtype, shape and bytes (so NaN payloads and -0.0 count), or the
+    TraceError text."""
+    try:
+        meta, first, second, lines = read(io.StringIO(text), header)
+    except TraceError as exc:
+        return str(exc)
+    columns = [(a.dtype.str, a.shape, a.tobytes()) for a in (first, second)]
+    return meta, columns, list(lines)
+
+
+# Field spellings float() and np.loadtxt may read differently, or not at all.
+FIELDS = ["0", "-0.0", "1.5", "+4", ".5", "5.", "1e400", "-1e-320", "nan", "-nan",
+          "inf", "-Infinity", "iNf", " 3 ", "\t7", "\xa08\xa0", "1_000", "0x10", "", "x",
+          "1 2", "1\x1c", "٣", '"1"', "1 # note", "#9", "\x00"]
+field = st.one_of(st.sampled_from(FIELDS), st.floats().map(repr))
+clean_field = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def pair_csv(draw):
+    """A two-column CSV: '#' and blank lines, a header, then rows.  Most
+    files are clean numeric rows; the rest mix in stray lines and fields."""
+    header = draw(st.sampled_from([TRACE_HEADER, BUDGET_HEADER]))
+    clean = draw(st.booleans())
+    head = draw(st.lists(st.sampled_from(["#mode: irradiance", "# note", "", "  "]),
+                         max_size=3))
+    lines = head + [draw(st.sampled_from([header, header.replace(",", " , ")]))]
+    cells = clean_field if clean else field
+    rows = st.lists(cells, min_size=2, max_size=2).map(",".join)
+    if not clean:
+        rows = st.one_of(rows, st.sampled_from([header, "", " ", "#mode: budget", "1",
+                                                "1,2,3", "1,2 # x", "0,1\r2,3"]))
+    lines += draw(st.lists(rows, max_size=12))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return header, newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_csv())
+def test_read_pairs_matches_the_line_loop(case):
+    header, text = case
+    assert outcome(_read_pairs, text, header) == outcome(loop_pairs, text, header)
+
+
+H = "#mode: irradiance\ntimestamp,value\n"
+
+
+# Files only the read_table loop can read, then files np.loadtxt reads.
+FALLBACK = {
+    "meta-after-header": H + "0,1\n#mode: budget\n60,2\n",
+    "inline-comment": H + "0,1 # first\n60,2\n",
+    "repeated-header": H + "0,1\ntimestamp,value\n60,2\n",
+    "three-fields": H + "0,1\n60,2,3\n",
+    "one-field": H + "0,1\n60\n",
+    "underscore": H + "0,1_000\n",  # float() reads it, the C parser does not
+    "blank-line": H + "0,1\n\n60,2\n",
+    "whitespace-line": H + "0,1\n   \n60,2\n",
+    "empty-body": H + "\n\n",
+    "data-before-header": "0,1\n" + H,
+    "header-only": H,
+    "no-header": "#mode: irradiance\n",
+    "empty-file": "",
+}
+FAST = {
+    "crlf": H + "0,1\r\n60,2\r\n",
+    "no-trailing-newline": H + "0,1\n60,2",
+    "one-row": H + "0,1\n",
+    "padded": "\n" + H + " 0 , 1 \n60,\tnan\n",
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK) + list(FAST))
+def test_read_pairs_matches_the_line_loop_on(name):
+    text = {**FALLBACK, **FAST}[name]
+    assert outcome(_read_pairs, text, TRACE_HEADER) == outcome(loop_pairs, text, TRACE_HEADER)
+    lines = io.StringIO(text).readlines()
+    assert (_loadtxt_pairs(lines, TRACE_HEADER) is not None) == (name in FAST)
+
+
+def test_value_check_counts_blank_body_lines():
+    text = H + "0,1\n\n60,-2\n"
+    with pytest.raises(TraceError) as excinfo:
+        load_trace(io.StringIO(text))
+    assert str(excinfo.value) == "line 5: negative value -2.0"
