@@ -34,7 +34,6 @@ from .harvest import (
     PanelModel,
     TraceError,
     budget_series_to_csv,
-    load_budget_series,
     load_trace,
     synth_trace,
     trace_to_budgets,
@@ -98,7 +97,6 @@ __all__ = [
     "builtin_table1",
     "dominates",
     "envelope_oracle",
-    "load_budget_series",
     "load_catalog",
     "load_trace",
     "optimize_allocation",

@@ -1,11 +1,12 @@
-"""Reader for the package's CSV files: '#' metadata lines, one header row,
-then comma-separated data rows.  Blank lines are skipped, and a line equal
-to the header is skipped wherever it appears.
+"""Reader and writer for the package's CSV files: '#' metadata lines, one
+header row, then comma-separated data rows.  Blank lines are skipped, and a
+line equal to the header is skipped wherever it appears.
 
 load_catalog reads every file through this loop, because a catalog has a
-string column.  The two numeric loaders in harvest parse a clean file with
-np.loadtxt and come here only for a file that fast path cannot vouch for;
-the loop then decides both the values and the error text.
+string column.  load_trace parses a clean file with np.loadtxt and comes
+here only for a file that fast path cannot vouch for; the loop then decides
+both the values and the error text.  Every CSV the package writes (catalogs,
+budget traces, reports and sweeps) is rendered by write_table.
 """
 
 from __future__ import annotations
@@ -53,3 +54,13 @@ def read_table(source, header: str, parse, error: type[Exception]):
             raise error(f"line {lineno}: bad numeric field in {line!r}") from None
         lines.append(lineno)
     return meta, rows, lines
+
+
+def write_table(header: str, columns: list, meta: tuple[str, ...] = ()) -> str:
+    """A '#' line for each entry of meta, the header row, then one row per
+    index of the equal-length columns.  %s spells a float as its repr and
+    an int as its str; a blank cell is ""."""
+    template = ",".join(["%s"] * len(columns))
+    lines = [f"#{line}" for line in meta] + [header]
+    lines += [template % row for row in zip(*columns)]
+    return "\n".join(lines) + "\n"

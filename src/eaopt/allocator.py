@@ -43,7 +43,6 @@ from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
 # Relative slack when deciding whether a budget can even sustain the
 # keep-alive draw for the whole period.
 _FLOOR_RTOL = 1e-9
-_FLOOR_ATOL = 1e-15
 
 
 def _check_inputs(period: float, budgets, alpha: float, catalog: Catalog) -> None:
@@ -107,7 +106,7 @@ class Allocation:
 def _below_floor(budget, period: float, off_power: float):
     """Whether each budget falls short of the keep-alive draw off_power * period."""
     floor = off_power * period
-    return budget < floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
+    return budget < floor * (1.0 - _FLOOR_RTOL)
 
 
 @dataclass(frozen=True)

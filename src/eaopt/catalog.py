@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._table import read_table
+from ._table import read_table, write_table
 
 HEADER = "id,label,accuracy,power"
 
@@ -218,13 +218,11 @@ def _fmt(value: float) -> str:
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Canonical CSV: fraction accuracy, watt power, 9 significant digits."""
-    lines = [
-        "#units: accuracy=fraction, power=W",
-        f"#off_power={_fmt(catalog.off_power)}",
-        HEADER,
-    ]
-    for dp in catalog.design_points:
+    dps = catalog.design_points
+    for dp in dps:
         if "," in dp.label or "\n" in dp.label or dp.label.startswith("#"):
             raise CatalogError(f"label {dp.label!r} cannot be written to CSV")
-        lines.append(f"{dp.id},{dp.label},{_fmt(dp.accuracy)},{_fmt(dp.power)}")
-    return "\n".join(lines) + "\n"
+    meta = ("units: accuracy=fraction, power=W", f"off_power={_fmt(catalog.off_power)}")
+    columns = [[dp.id for dp in dps], [dp.label for dp in dps],
+               [_fmt(dp.accuracy) for dp in dps], [_fmt(dp.power) for dp in dps]]
+    return write_table(HEADER, columns, meta)

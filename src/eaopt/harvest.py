@@ -8,7 +8,10 @@ Two trace modes are supported:
 * ``irradiance``: values in W/m2, converted to electrical power through
   a PanelModel and integrated into per-period energy budgets.
 * ``budget``: values already in joules per sample period, re-binned
-  onto the requested period grid.
+  onto the requested period grid.  budget_series_to_csv writes a
+  BudgetSeries in this mode, one sample per period start, and
+  load_trace plus trace_to_budgets at the series' period length read it
+  back exactly.
 
 Trace CSV format::
 
@@ -30,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import read_table
+from ._table import read_table, write_table
 
 IRRADIANCE = "irradiance"
 BUDGET = "budget"
 TRACE_HEADER = "timestamp,value"
-BUDGET_HEADER = "period_start,budget_joules"
 
 _MODE_UNITS = {IRRADIANCE: "W/m2", BUDGET: "J"}
 
@@ -90,9 +92,9 @@ def _parse_pair(parts: list[str]) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _read_pairs(source, header: str):
-    """Read a two-column numeric CSV from a path, a file-like object or a
-    list of lines.  Returns (meta, first column, second column, line
+def _read_pairs(source):
+    """Read a two-column numeric trace CSV from a path, a file-like object
+    or a list of lines.  Returns (meta, first column, second column, line
     number of each row), as read_table does.
 
     The leading '#' and blank lines are scanned as read_table scans them,
@@ -112,14 +114,14 @@ def _read_pairs(source, header: str):
             lines = list(fh)
     else:
         lines = list(source)
-    fast = _loadtxt_pairs(lines, header)
+    fast = _loadtxt_pairs(lines)
     if fast is not None:
         return fast
-    meta, rows, row_lines = read_table(lines, header, _parse_pair, TraceError)
+    meta, rows, row_lines = read_table(lines, TRACE_HEADER, _parse_pair, TraceError)
     return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), row_lines
 
 
-def _loadtxt_pairs(lines: list[str], header: str):
+def _loadtxt_pairs(lines: list[str]):
     """_read_pairs through np.loadtxt, or None where only the read_table
     loop can tell."""
     meta = []
@@ -132,7 +134,7 @@ def _loadtxt_pairs(lines: list[str], header: str):
     else:
         return None
     body = lines[lineno:]
-    if [p.strip() for p in line.split(",")] != header.split(",") or not body \
+    if [p.strip() for p in line.split(",")] != TRACE_HEADER.split(",") or not body \
             or "#" in "".join(body):
         return None
     try:
@@ -172,7 +174,7 @@ def _check_samples(times: np.ndarray, values: np.ndarray, lines, unit: str = "li
 
 def load_trace(source) -> HarvestTrace:
     """Parse a trace CSV from a path or file-like object."""
-    meta, times, values, lines = _read_pairs(source, TRACE_HEADER)
+    meta, times, values, lines = _read_pairs(source)
     mode = None
     units = None
     for lineno, body in meta:
@@ -272,29 +274,6 @@ def synth_trace(
 
 
 def budget_series_to_csv(series: BudgetSeries) -> str:
-    lines = [BUDGET_HEADER]
-    for start, budget in zip(series.starts, series.budgets):
-        lines.append(f"{float(start)!r},{float(budget)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_budget_series(source, period_length: float | None = None) -> BudgetSeries:
-    """Parse a BudgetSeries CSV; the grid must be contiguous and equal-step.
-
-    period_length defaults to the first gap between period starts (one
-    hour for a single row).
-    """
-    _, starts, budgets, lines = _read_pairs(source, BUDGET_HEADER)
-    if not lines:
-        raise TraceError("budget series has no rows")
-    _reject(~(np.isfinite(starts) & np.isfinite(budgets)) | (budgets < 0), lines,
-            lambda i: f"bad values in row {(float(starts[i]), float(budgets[i]))!r}")
-    if period_length is None:
-        period_length = float(starts[1] - starts[0]) if len(starts) > 1 else 3600.0
-    if not (math.isfinite(period_length) and period_length > 0):
-        raise TraceError(f"period length {period_length!r} must be finite and > 0")
-    expected = starts[0] + period_length * np.arange(len(starts))
-    _reject(np.abs(starts - expected) > 1e-6 * np.maximum(1.0, np.abs(expected)), lines,
-            lambda k: f"period starts are not a contiguous grid: index {k} is "
-                      f"{float(starts[k])!r}, expected {float(expected[k])!r}")
-    return BudgetSeries(float(period_length), starts, budgets)
+    """The series as a budget-mode trace: one sample per period start."""
+    columns = [np.asarray(c, dtype=float).tolist() for c in (series.starts, series.budgets)]
+    return write_table(TRACE_HEADER, columns, ("mode: budget", "units: J"))

@@ -22,6 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._table import write_table
 from .allocator import (
     Allocation,
     _check_inputs,
@@ -110,6 +111,17 @@ class SimulationReport:
         )
 
 
+def _mean(values: list[float]) -> float | None:
+    """Mean of values summed in order; where that sum overflows, the sum
+    of each value over the count instead."""
+    if not values:
+        return None
+    mean = sum(values) / len(values)
+    if math.isfinite(mean):
+        return mean
+    return sum(v / len(values) for v in values)
+
+
 def _ratio_stats(
     ratios: np.ndarray, defined: np.ndarray, dp_ids: tuple[int, ...]
 ) -> dict[int, RatioStats]:
@@ -118,7 +130,7 @@ def _ratio_stats(
     for k, dp_id in enumerate(dp_ids):
         values = ratios[defined[:, k], k].tolist()
         stats[dp_id] = RatioStats(
-            mean=sum(values) / len(values) if values else None,
+            mean=_mean(values),
             min=min(values) if values else None,
             max=max(values) if values else None,
             defined=len(values),
@@ -225,16 +237,6 @@ def sweep_alpha(
     ]
 
 
-def _csv(cols: list[str], fill: list) -> str:
-    """The header row, then one row per index of the equal-length columns
-    in fill.  %s spells a float as its repr and an int as its str; a
-    blank cell is ""."""
-    template = ",".join(["%s"] * len(fill))
-    lines = [",".join(cols)]
-    lines += [template % row for row in zip(*fill)]
-    return "\n".join(lines) + "\n"
-
-
 def sweep_to_csv(points: tuple[PeriodRecord, ...], catalog: Catalog) -> str:
     """One row per budget: optimizer metrics then each static baseline's."""
     cols, fill = ["budget_j"], [[pt.budget for pt in points]]
@@ -244,7 +246,7 @@ def sweep_to_csv(points: tuple[PeriodRecord, ...], catalog: Catalog) -> str:
         for metric in ("objective", "expected_accuracy", "active_fraction"):
             cols.append(f"{name}_{metric}")
             fill.append(list(map(attrgetter(metric), allocations)))
-    return _csv(cols, fill)
+    return write_table(",".join(cols), fill)
 
 
 def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
@@ -256,7 +258,7 @@ def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
             cols.append(f"dp{dp.id}_{metric}")
             values = map(attrgetter(metric.removeprefix("ratio_")), stats)
             fill.append(["" if v is None else v for v in values])
-    return _csv(cols, fill)
+    return write_table(",".join(cols), fill)
 
 
 def _json_floats(values: np.ndarray) -> list:
@@ -350,4 +352,4 @@ def report_to_csv(report: SimulationReport) -> str:
     for k in range(len(report.dp_ids)):
         fill += [c.seconds[:, k].tolist(), c.static_readings[0, :, k].tolist(),
                  _blank_undefined(c.ratios[:, k].tolist(), c.defined[:, k], "")]
-    return _csv(cols, fill)
+    return write_table(",".join(cols), fill)

@@ -127,6 +127,15 @@ class TestFeasibilityEdges:
             envelope_oracle(prob), rel=1e-9, abs=1e-12
         )
 
+    def test_microwatt_floor_has_no_absolute_slack(self):
+        # 5e-16 J short of a 6e-8 J floor: within an absolute 1e-15 J of
+        # it, but far outside the 1e-9 relative slack.
+        catalog = Catalog((DesignPoint(1, "A", 0.9, 1e-6),), 1e-9)
+        prob = AllocationProblem(60.0, 1e-9 * 60.0 - 5e-16, 1.0, catalog)
+        assert solve_lp(build_problem(prob)).status == INFEASIBLE
+        assert optimize_allocation(prob).status == INFEASIBLE
+        assert envelope_oracle(prob) == 0.0
+
     def test_zero_budget_zero_off_power(self):
         base = builtin_table1()
         catalog = Catalog(base.design_points, 0.0)

@@ -7,8 +7,12 @@ from dataclasses import fields
 
 import pytest
 
+import numpy as np
+
 from eaopt.catalog import builtin_table1, serialize_catalog
 from eaopt.cli import RunConfig, load_config_file, main, make_config
+from eaopt.harvest import BudgetSeries, budget_series_to_csv
+from eaopt.simulator import report_to_json, simulate
 
 SPLIT_5J = {"4": 1545.4545454545455, "5": 2054.5454545454545}
 
@@ -180,6 +184,30 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--trace", str(path))
         assert code == 0
         assert "periods: 3" in out
+
+    def test_saved_budget_series(self, capsys, tmp_path):
+        budgets = np.tile([0.0, 2.5, 7.25, 0.0, 0.0, 11.0, 0.5], 4)
+        series = BudgetSeries(900.0, 123.456 + 900.0 * np.arange(len(budgets)), budgets)
+        trace = tmp_path / "series.csv"
+        trace.write_text(budget_series_to_csv(series))
+        report_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "simulate", "--trace", str(trace), "--period", "900",
+            "--alpha", "2", "--output", str(report_path),
+        )
+        assert code == 0 and err == ""
+        report = simulate(series, builtin_table1(), 2.0)
+        assert report_path.read_text() == report_to_json(report)
+        lines = [
+            f"periods: {len(budgets)}",
+            f"mean expected accuracy: {report.mean_expected_accuracy:.6g}",
+            f"mean active fraction: {report.mean_active_fraction:.6g}",
+        ]
+        for dp_id, label in zip(report.dp_ids, report.dp_labels):
+            stats = report.ratio_stats[dp_id]
+            lines.append(f"mean ratio vs {label}: {stats.mean:.6g} "
+                         f"(defined {stats.defined}, undefined {stats.undefined})")
+        assert out == "\n".join(lines) + "\n"
 
     def test_trace_off_the_period_grid(self, capsys, tmp_path):
         trace = tmp_path / "offset.csv"

@@ -15,7 +15,6 @@ from eaopt.harvest import (
     PanelModel,
     TraceError,
     budget_series_to_csv,
-    load_budget_series,
     load_trace,
     synth_trace,
     trace_to_budgets,
@@ -86,30 +85,22 @@ class TestLoadTrace:
 
 
 @pytest.mark.parametrize(
-    "load, text, message",
+    "text, message",
     [
-        (load_trace, trace_text("irradiance", [(0, 1.0), ("nan", 2.0)]),
+        (trace_text("irradiance", [(0, 1.0), ("nan", 2.0)]),
          "line 4: non-finite value in row (nan, 2.0)"),
-        (load_trace, trace_text("irradiance", [(0, 1.0), (60, "inf")]),
+        (trace_text("irradiance", [(0, 1.0), (60, "inf")]),
          "line 4: non-finite value in row (60.0, inf)"),
-        (load_trace, trace_text("budget", [(0, 1.0), (60, -0.5)]),
+        (trace_text("budget", [(0, 1.0), (60, -0.5)]),
          "line 4: negative value -0.5"),
-        (load_trace, trace_text("irradiance", [(0, 1.0), (60, 2.0), (60, 3.0)]),
+        (trace_text("irradiance", [(0, 1.0), (60, 2.0), (60, 3.0)]),
          "line 5: timestamp 60.0 not after previous 60.0"),
-        (load_budget_series, "period_start,budget_joules\nnan,1\n",
-         "line 2: bad values in row (nan, 1.0)"),
-        (load_budget_series, "period_start,budget_joules\n0,1\n3600,-2\n",
-         "line 3: bad values in row (3600.0, -2.0)"),
-        (load_budget_series, "period_start,budget_joules\n0,1\n3600,1\n10800,1\n",
-         "line 4: period starts are not a contiguous grid: index 2 is 10800.0, "
-         "expected 7200.0"),
     ],
-    ids=["nan-timestamp", "inf-value", "negative-value", "equal-timestamp",
-         "nan-start", "negative-budget", "non-contiguous"],
+    ids=["nan-timestamp", "inf-value", "negative-value", "equal-timestamp"],
 )
-def test_loader_value_check_names_the_line(load, text, message):
+def test_loader_value_check_names_the_line(text, message):
     with pytest.raises(TraceError) as excinfo:
-        load(io.StringIO(text))
+        load_trace(io.StringIO(text))
     assert str(excinfo.value) == message
 
 
@@ -331,34 +322,35 @@ class TestPanelModel:
 
 
 class TestBudgetSeriesCSV:
-    def test_round_trip_exact(self):
-        trace = synth_trace(2, noise=0.2, seed=1)
-        series = trace_to_budgets(trace, PANEL, HOUR)
-        text = budget_series_to_csv(series)
-        loaded = load_budget_series(io.StringIO(text))
-        assert loaded.period_length == series.period_length
-        assert np.array_equal(loaded.starts, series.starts)
-        assert np.array_equal(loaded.budgets, series.budgets)
-
     def test_header(self):
-        series = BudgetSeries(HOUR, np.array([0.0]), np.array([1.5]))
-        text = budget_series_to_csv(series)
-        assert text.splitlines()[0] == "period_start,budget_joules"
-
-    def test_non_contiguous_rejected(self):
-        text = "period_start,budget_joules\n0,1\n3600,1\n10800,1\n"
-        with pytest.raises(TraceError, match="contiguous"):
-            load_budget_series(io.StringIO(text))
+        series = BudgetSeries(1800.0, np.array([-900.0, 900.0]), np.array([1.5, 0.0]))
+        assert budget_series_to_csv(series) == (
+            "#mode: budget\n#units: J\ntimestamp,value\n-900.0,1.5\n900.0,0.0\n"
+        )
 
     def test_explicit_period_length(self):
-        text = "period_start,budget_joules\n0,1\n1800,2\n"
-        series = load_budget_series(io.StringIO(text), period_length=1800.0)
-        assert series.period_length == 1800.0
-
-    def test_single_row_defaults_to_one_hour(self):
-        text = "period_start,budget_joules\n0,1\n"
-        assert load_budget_series(io.StringIO(text)).period_length == HOUR
+        text = "#mode: budget\n#units: J\ntimestamp,value\n0,1\n1800,2\n"
+        half_hours = trace_to_budgets(load_trace(io.StringIO(text)), PanelModel(), 1800.0)
+        assert half_hours.period_length == 1800.0
+        assert half_hours.budgets.tolist() == [1.0, 2.0]
+        hours = trace_to_budgets(load_trace(io.StringIO(text)), PanelModel(), HOUR)
+        assert hours.budgets.tolist() == [3.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(TraceError, match="no rows"):
-            load_budget_series(io.StringIO("period_start,budget_joules\n"))
+        text = budget_series_to_csv(BudgetSeries(HOUR, np.array([]), np.array([])))
+        with pytest.raises(TraceError, match="no samples"):
+            load_trace(io.StringIO(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        period=st.floats(0.1, 86_400.0),
+        t0=st.sampled_from([-5_000.0, 0.0, 123.456, 1e9]),
+        budgets=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=50),
+    )
+    def test_round_trip_exact(self, period, t0, budgets):
+        series = BudgetSeries(period, t0 + period * np.arange(len(budgets)), np.array(budgets))
+        trace = load_trace(io.StringIO(budget_series_to_csv(series)))
+        loaded = trace_to_budgets(trace, PanelModel(), series.period_length)
+        assert loaded.period_length == series.period_length
+        assert loaded.starts.tobytes() == series.starts.tobytes()
+        assert loaded.budgets.tobytes() == series.budgets.tobytes()

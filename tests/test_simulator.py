@@ -233,6 +233,14 @@ _SUBNORMAL = (
     [0.0, 3.0, 5.0],
     64.0,
 )
+# Every ratio against DP 7 is finite, about 1.68e308, so their sum overflows.
+_HUGE_RATIOS = (
+    Catalog((DesignPoint(7, "A", 1.5187540055433938e-05, 1e-3),
+             DesignPoint(8, "B", 1.0, 2e-3)), 0.0),
+    HOUR,
+    [5.0, 5.0, 5.0],
+    64.0,
+)
 _ONE_DP = (Catalog((DesignPoint(3, "only", 0.8, 1e-3),), 1e-4), 60.0, [0.0, 0.006, 0.03], 1.0)
 # Every budget at or below the keep-alive floor (0.18 J): every ratio is
 # undefined, so the alpha sweep's mean, min and max cells are blank.
@@ -246,6 +254,7 @@ class TestColumnWriters:
     @settings(max_examples=200, deadline=None)
     @given(case=degenerate_cases())
     @example(case=_SUBNORMAL)
+    @example(case=_HUGE_RATIOS)
     @example(case=_ONE_DP)
     @example(case=_AT_FLOOR)
     def test_bytes_equal_reference(self, case):
@@ -280,6 +289,23 @@ def test_overflowed_ratio_is_strict_json():
     assert [r["ratios"]["7"] for r in payload["records"]] == [None, None, None]
 
 
+def test_overflowing_ratio_sum_keeps_a_finite_mean():
+    catalog, period, budgets, alpha = _HUGE_RATIOS
+    series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+    report = simulate(series, catalog, alpha)
+    stats = report.ratio_stats[7]
+    assert stats.defined == 3 and math.isfinite(stats.max) and stats.max > 1e308
+    assert stats.mean == pytest.approx(stats.max, rel=1e-15)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(report_to_json(report), parse_constant=refuse)
+    assert payload["ratio_stats"]["7"]["mean"] == stats.mean
+    cells = alpha_sweep_to_csv(sweep_alpha(catalog, series, [alpha]), catalog).split()[1]
+    assert "inf" not in cells
+
+
 def _reference_ratio_stats(catalog, period, budgets, alpha) -> dict[int, RatioStats]:
     """RatioStats from one optimize_allocation and one static_dp_allocation
     call per period, summed in period order with Python floats."""
@@ -294,8 +320,11 @@ def _reference_ratio_stats(catalog, period, budgets, alpha) -> dict[int, RatioSt
             static = static_dp_allocation(dp, period, budget, catalog.off_power, alpha)
             if static.objective > 0.0 and math.isfinite(objective / static.objective):
                 values.append(objective / static.objective)
+        mean = sum(values) / len(values) if values else None
+        if mean is not None and not math.isfinite(mean):
+            mean = sum(v / len(values) for v in values)
         stats[dp.id] = RatioStats(
-            mean=sum(values) / len(values) if values else None,
+            mean=mean,
             min=min(values) if values else None,
             max=max(values) if values else None,
             defined=len(values),
@@ -312,6 +341,7 @@ class TestSweepAlphaReference:
     @settings(max_examples=100, deadline=None)
     @given(case=degenerate_cases())
     @example(case=_SUBNORMAL)
+    @example(case=_HUGE_RATIOS)
     @example(case=_AT_FLOOR)
     def test_equals_per_period_decisions(self, case):
         catalog, period, budgets, _ = case

@@ -1,5 +1,5 @@
 """The shared '#'-metadata CSV reader, through each loader that uses it,
-and the np.loadtxt fast path of the numeric loaders against it."""
+and the np.loadtxt fast path of the trace loader against it."""
 
 import io
 
@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from eaopt._table import read_table
 from eaopt.catalog import CatalogError, load_catalog
 from eaopt.harvest import (
-    BUDGET_HEADER,
     TRACE_HEADER,
     TraceError,
     _loadtxt_pairs,
     _parse_pair,
     _read_pairs,
-    load_budget_series,
     load_trace,
 )
 
@@ -33,11 +31,6 @@ LOADERS = {
         load_trace, TraceError,
         ["#mode: irradiance"],
         "timestamp,value", "0,1", "60,1,2", "60,x",
-    ),
-    "budget series": (
-        load_budget_series, TraceError,
-        ["# hourly budgets"],
-        "period_start,budget_joules", "0,1", "3600,1,2", "3600,x",
     ),
 }
 
@@ -58,18 +51,18 @@ def test_malformed_rows_name_their_line(name, fault):
         load(io.StringIO("\n".join(lines) + "\n"))
 
 
-def loop_pairs(source, header):
+def loop_pairs(source):
     """_read_pairs as the line loop alone: the reference for its fast path."""
-    meta, rows, lines = read_table(source, header, _parse_pair, TraceError)
+    meta, rows, lines = read_table(source, TRACE_HEADER, _parse_pair, TraceError)
     return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), lines
 
 
-def outcome(read, text, header):
+def outcome(read, text):
     """What read gives for text: its four results with each array as its
     dtype, shape and bytes (so NaN payloads and -0.0 count), or the
     TraceError text."""
     try:
-        meta, first, second, lines = read(io.StringIO(text), header)
+        meta, first, second, lines = read(io.StringIO(text))
     except TraceError as exc:
         return str(exc)
     columns = [(a.dtype.str, a.shape, a.tobytes()) for a in (first, second)]
@@ -86,28 +79,27 @@ clean_field = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 @st.composite
 def pair_csv(draw):
-    """A two-column CSV: '#' and blank lines, a header, then rows.  Most
-    files are clean numeric rows; the rest mix in stray lines and fields."""
-    header = draw(st.sampled_from([TRACE_HEADER, BUDGET_HEADER]))
+    """A two-column trace CSV: '#' and blank lines, a header, then rows.
+    Most files are clean numeric rows; the rest mix in stray lines and
+    fields."""
     clean = draw(st.booleans())
     head = draw(st.lists(st.sampled_from(["#mode: irradiance", "# note", "", "  "]),
                          max_size=3))
-    lines = head + [draw(st.sampled_from([header, header.replace(",", " , ")]))]
+    lines = head + [draw(st.sampled_from([TRACE_HEADER, "timestamp , value"]))]
     cells = clean_field if clean else field
     rows = st.lists(cells, min_size=2, max_size=2).map(",".join)
     if not clean:
-        rows = st.one_of(rows, st.sampled_from([header, "", " ", "#mode: budget", "1",
-                                                "1,2,3", "1,2 # x", "0,1\r2,3"]))
+        rows = st.one_of(rows, st.sampled_from([TRACE_HEADER, "", " ", "#mode: budget",
+                                                "1", "1,2,3", "1,2 # x", "0,1\r2,3"]))
     lines += draw(st.lists(rows, max_size=12))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return header, newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=pair_csv())
-def test_read_pairs_matches_the_line_loop(case):
-    header, text = case
-    assert outcome(_read_pairs, text, header) == outcome(loop_pairs, text, header)
+@given(text=pair_csv())
+def test_read_pairs_matches_the_line_loop(text):
+    assert outcome(_read_pairs, text) == outcome(loop_pairs, text)
 
 
 H = "#mode: irradiance\ntimestamp,value\n"
@@ -140,9 +132,9 @@ FAST = {
 @pytest.mark.parametrize("name", list(FALLBACK) + list(FAST))
 def test_read_pairs_matches_the_line_loop_on(name):
     text = {**FALLBACK, **FAST}[name]
-    assert outcome(_read_pairs, text, TRACE_HEADER) == outcome(loop_pairs, text, TRACE_HEADER)
+    assert outcome(_read_pairs, text) == outcome(loop_pairs, text)
     lines = io.StringIO(text).readlines()
-    assert (_loadtxt_pairs(lines, TRACE_HEADER) is not None) == (name in FAST)
+    assert (_loadtxt_pairs(lines) is not None) == (name in FAST)
 
 
 def test_value_check_counts_blank_body_lines():
@@ -150,3 +142,4 @@ def test_value_check_counts_blank_body_lines():
     with pytest.raises(TraceError) as excinfo:
         load_trace(io.StringIO(text))
     assert str(excinfo.value) == "line 5: negative value -2.0"
+
