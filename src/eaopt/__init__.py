@@ -14,6 +14,7 @@ from .allocator import (
     build_problem,
     envelope_oracle,
     optimize_allocation,
+    regime_map,
     static_dp_allocation,
 )
 from .catalog import (
@@ -102,6 +103,7 @@ __all__ = [
     "optimize_allocation",
     "pareto_filter",
     "pareto_partition",
+    "regime_map",
     "report_to_csv",
     "report_to_json",
     "serialize_catalog",

@@ -17,7 +17,8 @@ evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
 vertex alone once the budget covers its power.  The allocator builds
 that envelope once per (catalog, alpha) and solves a whole array of
-budgets in closed form.
+budgets in closed form; regime_map reads the budgets where the optimal
+mix changes off the same envelope.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -238,19 +239,6 @@ def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocati
     ]
 
 
-def _optimized_allocations(dp_ids, seconds, readings, infeasible) -> list[Allocation]:
-    """Allocations of _Modes.solve's schedules."""
-    return _allocations(dp_ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)
-
-
-def _static_allocations(dp_ids, period, t, readings, infeasible) -> list[list[Allocation]]:
-    """Per design point, the Allocations of _Modes.baselines' schedules."""
-    return [
-        _allocations((dp_id,), t[:, k : k + 1], period - t[:, k], readings[:, :, k], infeasible)
-        for k, dp_id in enumerate(dp_ids)
-    ]
-
-
 def build_problem(problem: AllocationProblem) -> StandardFormLP:
     """LP over (t_1..t_N, t_off): time closure EQ plus energy LE."""
     dps = problem.catalog.design_points
@@ -275,7 +263,27 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     budgets = np.array([problem.budget])
     seconds, readings = modes.solve(modes.utility(problem.alpha), problem.period, budgets)
     infeasible = modes.infeasible(problem.period, budgets)
-    return _optimized_allocations(modes.ids, seconds, readings, infeasible)[0]
+    return _allocations(modes.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
+
+
+def regime_map(
+    catalog: Catalog, alpha: float, period: float
+) -> list[tuple[float, tuple[int | None, ...]]]:
+    """Where the optimal mix changes as the budget grows.
+
+    One (start, ids) entry per envelope segment, cheapest first: from
+    start joules (the left vertex's power times period) the optimal
+    schedule mixes the modes with these ids, None being off.  The last
+    entry is the top vertex alone, which runs the whole period from its
+    start on.  Below the first start, the keep-alive floor, no schedule
+    is feasible.
+    """
+    _check_inputs(period, (), alpha, catalog)
+    modes = _Modes(catalog)
+    hull = modes.envelope(modes.utility(alpha)).tolist()
+    ids = (*modes.ids, None)
+    mixes = [(ids[left], ids[right]) for left, right in zip(hull, hull[1:])]
+    return list(zip((modes.power[hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
 
 
 def envelope_oracle(problem: AllocationProblem) -> float:
@@ -351,4 +359,4 @@ def static_dp_allocation(
     budgets = np.array([budget])
     t, readings = modes.baselines(modes.utility(alpha), period, budgets)
     infeasible = modes.infeasible(period, budgets)
-    return _static_allocations(modes.ids, period, t, readings, infeasible)[0][0]
+    return _allocations(modes.ids, t, period - t[:, 0], readings[:, :, 0], infeasible)[0]

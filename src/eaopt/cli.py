@@ -66,6 +66,8 @@ class RunConfig:
     output: str | None = None
 
 
+_FORMATS = ("json", "csv")
+
 # Each config key converts its value to its RunConfig field's type; the
 # annotations are strings such as "float" and "int | None".
 _KEY_TYPES = {
@@ -114,11 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--catalog", help="catalog CSV path or builtin:table1")
-        p.add_argument("--period", type=float, help="period length in seconds")
         p.add_argument("--off-power", type=float, help="keep-alive power in W (overrides catalog)")
-        p.add_argument("--alpha", type=float, help="accuracy/duty-cycle trade-off exponent")
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--output", help="write results to this path instead of stdout")
+
+    def schedule(p):
+        common(p)
+        p.add_argument(
+            "--period", type=float,
+            help="period length in seconds; a saved budget series needs the period it was"
+                 " written with, or its budgets are re-binned",
+        )
+        p.add_argument("--alpha", type=float, help="accuracy/duty-cycle trade-off exponent")
 
     def panel(p):
         p.add_argument("--panel-area", type=float, help="panel area in m2")
@@ -130,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--synth-seed", type=int, help="seed for synthetic trace noise")
 
     p_opt = sub.add_parser("optimize", help="solve one period for a fixed budget")
-    common(p_opt)
+    schedule(p_opt)
     p_opt.add_argument("--budget", type=float, help="energy budget in J")
     p_opt.set_defaults(func=cmd_optimize)
 
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.set_defaults(func=cmd_pareto)
 
     p_sw = sub.add_parser("sweep", help="budget sweep (CSV) or alpha sweep over a trace")
-    common(p_sw)
+    schedule(p_sw)
     panel(p_sw)
     p_sw.add_argument("--budget-range", help="start:stop:step in J, inclusive grid")
     p_sw.add_argument("--trace", help="trace CSV path or synth:<days>d (alpha sweep)")
@@ -147,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="per-period report over a harvest trace")
-    common(p_sim)
+    schedule(p_sim)
     panel(p_sim)
     p_sim.add_argument("--trace", help="trace CSV path or synth:<days>d")
-    p_sim.add_argument("--format", choices=["json", "csv"], help="report format for --output")
+    p_sim.add_argument("--format", choices=_FORMATS, help="report format for --output")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -166,7 +175,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         for name, value in vars(args).items()
         if name in names and value is not None
     }
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    if config.format not in _FORMATS:
+        raise UsageError(f"bad format {config.format!r} (want {' or '.join(_FORMATS)})")
+    return config
 
 
 def _resolve_catalog(config: RunConfig) -> Catalog:

@@ -23,13 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._table import write_table
-from .allocator import (
-    Allocation,
-    _check_inputs,
-    _Modes,
-    _optimized_allocations,
-    _static_allocations,
-)
+from .allocator import Allocation, _allocations, _check_inputs, _Modes
 from .catalog import Catalog
 from .harvest import BudgetSeries
 from .lp_core import INFEASIBLE, OPTIMAL
@@ -98,9 +92,13 @@ class SimulationReport:
         """One PeriodRecord per period, in period order."""
         c = self.columns
         ids = self.dp_ids
-        optimized = _optimized_allocations(ids, c.seconds, c.readings, c.infeasible)
-        statics = _static_allocations(ids, self.period_length, c.static_t,
-                                      c.static_readings, c.infeasible)
+        optimized = _allocations(ids, c.seconds[:, :-1], c.seconds[:, -1], c.readings,
+                                 c.infeasible)
+        statics = [
+            _allocations((dp_id,), c.static_t[:, k : k + 1], self.period_length - c.static_t[:, k],
+                         c.static_readings[:, :, k], c.infeasible)
+            for k, dp_id in enumerate(ids)
+        ]
         cells = np.where(c.defined, c.ratios, None).tolist()
         return tuple(
             PeriodRecord(i, start, budget, opt, dict(zip(ids, row_statics)),

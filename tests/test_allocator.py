@@ -11,13 +11,14 @@ from eaopt.allocator import (
     build_problem,
     envelope_oracle,
     optimize_allocation,
+    regime_map,
     static_dp_allocation,
 )
 from eaopt.catalog import Catalog, DesignPoint, builtin_table1
 from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
 from eaopt.simulator import report_to_csv, report_to_json, simulate
-from oracles import degenerate_cases, highs_objective
+from oracles import degenerate_cases, highs_objective, random_catalog
 
 PERIOD = 3600.0
 
@@ -375,6 +376,94 @@ class TestEngineProperties:
                 assert record.statics[dp.id] == static_dp_allocation(
                     dp, period, budget, catalog.off_power, alpha
                 )
+
+
+def _running(catalog, period, alpha, budget) -> set:
+    """Ids of the modes optimize_allocation gives time to, None for off."""
+    allocation = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
+    running = {i for i, t in zip(allocation.dp_ids, allocation.times) if t > 0.0}
+    return running | {None} if allocation.off_time > 0.0 else running
+
+
+@st.composite
+def _regime_cases(draw):
+    """(catalog, period, alpha) from degenerate_cases or random_catalog,
+    with alpha often at 0, 1e-9, 1 or 40."""
+    if draw(st.booleans()):
+        catalog, period, _, alpha = draw(degenerate_cases())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        accuracies, powers, off_power = random_catalog(rng, max_points=30)
+        catalog = Catalog(
+            tuple(DesignPoint(i + 1, f"P{i + 1}", a, p)
+                  for i, (a, p) in enumerate(zip(accuracies.tolist(), powers.tolist()))),
+            off_power,
+        )
+        period, alpha = PERIOD, draw(st.floats(0.0, 64.0))
+    alpha = draw(st.sampled_from([alpha, 0.0, 1e-9, 1.0, 40.0]))
+    return catalog, period, alpha
+
+
+class TestRegimeMap:
+    # Starts are each envelope vertex's power times the period.
+    BUILTIN = {
+        0.0: [(5e-5 * PERIOD, (None, 5)), (1.2e-3 * PERIOD, (5,))],
+        1.0: [
+            (5e-5 * PERIOD, (None, 5)),
+            (1.2e-3 * PERIOD, (5, 4)),
+            (1.64e-3 * PERIOD, (4, 3)),
+            (1.82e-3 * PERIOD, (3, 1)),
+            (2.76e-3 * PERIOD, (1,)),
+        ],
+        2.0: [
+            (5e-5 * PERIOD, (None, 4)),
+            (1.64e-3 * PERIOD, (4, 3)),
+            (1.82e-3 * PERIOD, (3, 1)),
+            (2.76e-3 * PERIOD, (1,)),
+        ],
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(BUILTIN))
+    def test_builtin(self, alpha):
+        assert regime_map(builtin_table1(), alpha, PERIOD) == self.BUILTIN[alpha]
+
+    def test_builtin_alpha1_starts(self):
+        starts = [start for start, _ in regime_map(builtin_table1(), 1.0, PERIOD)]
+        assert starts == pytest.approx([0.18, 4.32, DP4_SATURATION, DP3_SATURATION,
+                                        DP1_SATURATION], rel=1e-15)
+
+    def test_every_utility_underflows(self):
+        catalog = Catalog((DesignPoint(1, "A", 1e-5, 1e-3), DesignPoint(2, "B", 1e-6, 2e-3)),
+                          1e-5)
+        assert regime_map(catalog, 100.0, 60.0) == [(1e-5 * 60.0, (None,))]
+
+    @pytest.mark.parametrize(
+        "period, alpha, match",
+        [(0.0, 1.0, "period"), (float("nan"), 1.0, "period"), (PERIOD, -1.0, "alpha")],
+    )
+    def test_rejects_bad_inputs(self, period, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            regime_map(builtin_table1(), alpha, period)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_regime_cases())
+    @example(case=(Catalog((DesignPoint(1, "A", 0.5, 1e-3),), 1e-315), 60.0, 1.0))
+    def test_matches_optimize_allocation(self, case):
+        catalog, period, alpha = case
+        regimes = regime_map(catalog, alpha, period)
+        for (start, mix), (stop, _) in zip(regimes, regimes[1:]):
+            assert start < stop
+            assert _running(catalog, period, alpha, (start + stop) / 2) == set(mix)
+        last, top = regimes[-1]
+        assert len(top) == 1
+        assert _running(catalog, period, alpha, 2.0 * last + 1.0) == set(top)
+        floor = regimes[0][0]
+        assert floor == catalog.off_power * period
+        if floor > 0.0:
+            # A subnormal floor times (1 - 1e-6) rounds back to the floor.
+            below = min(floor * (1 - 1e-6), np.nextafter(floor, 0.0))
+            allocation = optimize_allocation(AllocationProblem(period, below, alpha, catalog))
+            assert allocation.status == INFEASIBLE
 
 
 class TestStaticBaseline:

@@ -2,8 +2,10 @@
 
 import gc
 import json
+import shlex
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,19 @@ class TestPareto:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "pareto", "--catalog", "builtin:bogus")
         assert code == 1 and "unknown builtin" in err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--period"])
+    def test_rejects_flags_it_would_ignore(self, capsys, flag):
+        code, out, err = run(capsys, "pareto", flag, "2")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_config_file_keys_stay_shared(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("alpha = 2\nperiod = 60\n")
+        code, out, _ = run(capsys, "pareto", "--config", str(config))
+        assert code == 0
+        assert len(json.loads(out)["kept"]) == 5
 
 
 class TestSweep:
@@ -284,6 +299,20 @@ class TestConfigMerge:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_bad_format_is_usage_error(self, capsys, tmp_path, source):
+        config = tmp_path / "run.conf"
+        config.write_text("format = xml\n" if source == "config" else "")
+        report = tmp_path / "report.out"
+        argv = ["simulate", "--trace", "synth:2d", "--config", str(config),
+                "--output", str(report)]
+        if source == "flag":
+            argv += ["--format", "xml"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "xml" in err
+        assert not report.exists()
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "optimize", "--config", "/nope.conf", "--budget", "5")
         assert code == 1 and "config" in err
@@ -347,3 +376,32 @@ class TestUsageErrors:
         )
         assert code == 0
         assert json.loads(out)["status"] == "optimal"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The bodies of the README's ```<lang> blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [block.split("```", 1)[0] for block in text.split(f"```{lang}\n")[1:]]
+
+
+def _readme_commands() -> list[str]:
+    """Every `eaopt ...` line in the README's ```sh blocks."""
+    return [line for block in _readme_blocks("sh") for line in block.splitlines()
+            if line.startswith("eaopt ")]
+
+
+class TestReadme:
+    def test_commands_found(self):
+        assert len(_readme_commands()) >= 7
+
+    @pytest.mark.parametrize("command", _readme_commands())
+    def test_command_runs(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "my_catalog.csv").write_text(serialize_catalog(builtin_table1()))
+        code, _, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, err
+
+    def test_regime_map_snippet_prints_what_it_shows(self, capsys):
+        snippet = next(block for block in _readme_blocks("python") if "regime_map" in block)
+        exec(snippet, {})
+        assert capsys.readouterr().out == _readme_blocks("text")[0]
