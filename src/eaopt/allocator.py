@@ -15,10 +15,16 @@ plus an energy inequality).  Its optimum is the rising upper concave
 envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
 evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
-vertex alone once the budget covers its power.  The allocator builds
-that envelope once per (catalog, alpha) and solves a whole array of
-budgets in closed form; regime_map reads the budgets where the optimal
-mix changes off the same envelope.
+vertex alone once the budget covers its power.  The allocator solves a
+whole array of budgets in closed form on that envelope; regime_map reads
+the budgets where the optimal mix changes off the same envelope.
+
+Nothing that depends only on the catalog is redone per decision.  Each
+Catalog keeps, in cached properties, its validation result and one
+_Modes table: the read-only accuracy, power and active arrays.  The
+table remembers the utilities and envelope of the last _ALPHA_MEMO
+alpha values it was asked for.  optimize_allocation, simulate and
+regime_map all read the envelope from there.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -28,36 +34,43 @@ of the period as the budget allows and any leftover energy is unspent.
 
 build_problem writes the same problem as a StandardFormLP for the
 simplex solver in lp_core, and envelope_oracle recomputes the optimum
-in pure Python; both are independent cross-checks of the allocator.
+in pure Python; both are independent cross-checks of the allocator and
+read none of these caches.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, DesignPoint, validate_catalog
+from .catalog import Catalog, DesignPoint
 from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
 
 # Relative slack when deciding whether a budget can even sustain the
 # keep-alive draw for the whole period.
 _FLOOR_RTOL = 1e-9
 
+# How many alpha values a _Modes table keeps the utilities and envelope
+# of; the oldest is dropped to make room for a new one.
+_ALPHA_MEMO = 64
+
 
 def _check_inputs(period: float, budgets, alpha: float, catalog: Catalog) -> None:
     """Raise ValueError on the first input no schedule can be solved for."""
     if not (math.isfinite(period) and period > 0):
         raise ValueError(f"period {period!r} must be finite and > 0")
-    for budget in budgets:
-        if not (math.isfinite(budget) and budget >= 0):
-            raise ValueError(f"budget {budget!r} must be finite and >= 0")
+    budgets = np.asarray(budgets)
+    bad = ~(np.isfinite(budgets) & (budgets >= 0))
+    if bad.any():
+        budget = budgets[bad.argmax()].item()
+        raise ValueError(f"budget {budget!r} must be finite and >= 0")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha {alpha!r} must be finite and >= 0")
-    problems = validate_catalog(catalog)
-    if problems:
-        raise ValueError("; ".join(problems))
+    if catalog._problems:
+        raise ValueError("; ".join(catalog._problems))
 
 
 @dataclass(frozen=True)
@@ -129,22 +142,46 @@ class _Mix:
         return weight[..., self.left] * self.t_left + weight[..., self.right] * self.t_right
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class _Modes:
-    """A catalog as arrays: its design points, then the off state."""
+    """A catalog as read-only arrays: its design points, then the off
+    state.  Catalog._modes holds one per catalog, shared by every
+    decision on it."""
 
     def __init__(self, catalog: Catalog):
         dps = catalog.design_points
         self.ids = tuple(dp.id for dp in dps)
         self.off = len(dps)
-        self.accuracy = np.array([dp.accuracy for dp in dps] + [0.0])
-        self.power = np.array([dp.power for dp in dps] + [catalog.off_power])
-        self.active = np.ones(self.off + 1)
-        self.active[self.off] = 0.0
+        self.accuracy = _read_only(np.array([dp.accuracy for dp in dps] + [0.0]))
+        self.power = _read_only(np.array([dp.power for dp in dps] + [catalog.off_power]))
+        active = np.ones(self.off + 1)
+        active[self.off] = 0.0
+        self.active = _read_only(active)
+        self._curves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()  # threads may share one catalog
 
     def utility(self, alpha: float) -> np.ndarray:
         utility = self.accuracy**alpha
         utility[self.off] = 0.0  # 0.0**0 is 1
         return utility
+
+    def curve(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(utility, envelope) at alpha, both read-only; built on first
+        use and kept for the last _ALPHA_MEMO alpha values."""
+        key = float(alpha)  # 1 and 1.0, 0.0 and -0.0 give the same bits
+        curve = self._curves.get(key)
+        if curve is None:
+            utility = _read_only(self.utility(key))
+            curve = utility, _read_only(self.envelope(utility))
+            with self._lock:
+                if key not in self._curves and len(self._curves) >= _ALPHA_MEMO:
+                    del self._curves[next(iter(self._curves))]
+                curve = self._curves.setdefault(key, curve)
+        return curve
 
     def envelope(self, utility: np.ndarray) -> np.ndarray:
         """Modes on the rising upper concave envelope of (power, utility),
@@ -180,13 +217,13 @@ class _Modes:
         readings[:3] /= period
         return readings
 
-    def solve(self, utility: np.ndarray, period: float, budgets: np.ndarray):
+    def solve(self, alpha: float, period: float, budgets: np.ndarray):
         """The optimal schedules, one per budget: (P, N+1) seconds per
         mode, off last, and their (4, P) readings.  The mean power
         budget/period falls on one envelope segment (left, right):
         t_right = (budget - p_left T) / (p_right - p_left), clipped to
         [0, T], and t_left = T - t_right."""
-        hull = self.envelope(utility)
+        utility, hull = self.curve(alpha)
         if hull.size == 1:  # every utility is 0: stay off
             hull = np.repeat(hull, 2)
             seg = np.zeros(budgets.size, dtype=np.intp)
@@ -259,9 +296,9 @@ def build_problem(problem: AllocationProblem) -> StandardFormLP:
 def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
-    modes = _Modes(problem.catalog)
+    modes = problem.catalog._modes
     budgets = np.array([problem.budget])
-    seconds, readings = modes.solve(modes.utility(problem.alpha), problem.period, budgets)
+    seconds, readings = modes.solve(problem.alpha, problem.period, budgets)
     infeasible = modes.infeasible(problem.period, budgets)
     return _allocations(modes.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
 
@@ -279,8 +316,8 @@ def regime_map(
     is feasible.
     """
     _check_inputs(period, (), alpha, catalog)
-    modes = _Modes(catalog)
-    hull = modes.envelope(modes.utility(alpha)).tolist()
+    modes = catalog._modes
+    hull = modes.curve(alpha)[1].tolist()
     ids = (*modes.ids, None)
     mixes = [(ids[left], ids[right]) for left, right in zip(hull, hull[1:])]
     return list(zip((modes.power[hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
@@ -355,7 +392,7 @@ def static_dp_allocation(
     """
     catalog = Catalog((dp,), off_power)
     _check_inputs(period, (budget,), alpha, catalog)
-    modes = _Modes(catalog)
+    modes = catalog._modes
     budgets = np.array([budget])
     t, readings = modes.baselines(modes.utility(alpha), period, budgets)
     infeasible = modes.infeasible(period, budgets)

@@ -17,12 +17,20 @@ Catalog CSV format::
 power unit and is also required.  Lines starting with ``#`` that are not
 metadata are treated as comments.  Canonical serialization is fraction
 accuracy and watt power at 9 significant digits.
+
+A Catalog is immutable, so what depends on it alone is computed once per
+instance and kept on it by ``functools.cached_property``: the validation
+result (``validate_catalog`` copies it into a new list on each call) and
+the allocator's mode table, which in turn keeps each alpha's utilities
+and envelope.  Equality, hash, repr, pickles and copies cover the fields
+only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from ._table import read_table, write_table
 
@@ -71,6 +79,23 @@ class Catalog:
     def labels(self) -> tuple[str, ...]:
         return tuple(dp.label for dp in self.design_points)
 
+    def __getstate__(self) -> dict:
+        """Pickle and deepcopy take the fields only; the copy builds its
+        own caches on first use (the mode table holds a lock)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """validate_catalog's result, found once per instance."""
+        return _find_problems(self)
+
+    @cached_property
+    def _modes(self):
+        """The allocator's read-only mode table, built once per instance."""
+        from .allocator import _Modes
+
+        return _Modes(self)
+
 
 def builtin_table1() -> Catalog:
     """Built-in five-mode wearable catalog with a 0.18 J/hour keep-alive."""
@@ -90,7 +115,13 @@ def builtin_table1() -> Catalog:
 
 
 def validate_catalog(catalog: Catalog) -> list[str]:
-    """Invariant violations as human-readable strings; empty when valid."""
+    """Invariant violations as human-readable strings; empty when valid.
+
+    The checks run once per catalog object; each call returns a new list."""
+    return list(catalog._problems)
+
+
+def _find_problems(catalog: Catalog) -> tuple[str, ...]:
     problems = []
     dps = catalog.design_points
     if not dps:
@@ -115,7 +146,7 @@ def validate_catalog(catalog: Catalog) -> list[str]:
                 f"off_power {catalog.off_power!r} W is not below the lowest "
                 f"design-point power ({lowest.label} at {lowest.power!r} W)"
             )
-    return problems
+    return tuple(problems)
 
 
 def dominates(a: DesignPoint, b: DesignPoint) -> bool:

@@ -23,7 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._table import write_table
-from .allocator import Allocation, _allocations, _check_inputs, _Modes
+from .allocator import Allocation, _allocations, _check_inputs
 from .catalog import Catalog
 from .harvest import BudgetSeries
 from .lp_core import INFEASIBLE, OPTIMAL
@@ -157,11 +157,10 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
     column = np.asarray(budgets.budgets, dtype=float)
-    _check_inputs(period_length, column.tolist(), alpha, catalog)
-    modes = _Modes(catalog)
-    utility = modes.utility(alpha)
-    seconds, readings = modes.solve(utility, period_length, column)
-    static_t, static_readings = modes.baselines(utility, period_length, column)
+    _check_inputs(period_length, column, alpha, catalog)
+    modes = catalog._modes
+    seconds, readings = modes.solve(alpha, period_length, column)
+    static_t, static_readings = modes.baselines(modes.curve(alpha)[0], period_length, column)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length

@@ -1,23 +1,31 @@
 """Allocator tests: frozen hand-computed optima, envelope agreement,
 reduction identities, and dominance properties."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eaopt import catalog as catalog_module
 from eaopt.allocator import (
+    _ALPHA_MEMO,
     AllocationProblem,
+    _Modes,
     build_problem,
     envelope_oracle,
     optimize_allocation,
     regime_map,
     static_dp_allocation,
 )
-from eaopt.catalog import Catalog, DesignPoint, builtin_table1
+from eaopt.catalog import Catalog, DesignPoint, builtin_table1, validate_catalog
 from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
-from eaopt.simulator import report_to_csv, report_to_json, simulate
+from eaopt.simulator import report_to_csv, report_to_json, simulate, sweep_alpha
 from oracles import degenerate_cases, highs_objective, random_catalog
 
 PERIOD = 3600.0
@@ -464,6 +472,154 @@ class TestRegimeMap:
             below = min(floor * (1 - 1e-6), np.nextafter(floor, 0.0))
             allocation = optimize_allocation(AllocationProblem(period, below, alpha, catalog))
             assert allocation.status == INFEASIBLE
+
+
+def _fresh(catalog: Catalog) -> Catalog:
+    """An equal catalog object with nothing cached on it yet."""
+    return Catalog(tuple(catalog.design_points), catalog.off_power)
+
+
+class TestCatalogCache:
+    """Validation, the mode arrays and each alpha's envelope are computed
+    once per catalog object and shared by every later call on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=degenerate_cases(),
+        alphas=st.lists(st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1, 2, 40]), min_size=1,
+                        max_size=12),
+    )
+    def test_reused_catalog_matches_a_fresh_one(self, case, alphas):
+        catalog, period, budgets, _ = case
+        for alpha in alphas:
+            assert regime_map(catalog, alpha, period) == regime_map(_fresh(catalog), alpha, period)
+            for budget in budgets:
+                reused = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
+                fresh = optimize_allocation(
+                    AllocationProblem(period, budget, alpha, _fresh(catalog)))
+                assert repr(reused) == repr(fresh)
+
+    def test_invalid_catalog_raises_the_same_error_every_time(self):
+        catalog = Catalog((DesignPoint(1, "A", 1.5, 1e-3), DesignPoint(1, "B", 0.5, 2e-3)), 1e-5)
+        expected = "A: accuracy 1.5 outside (0, 1]; duplicate id 1 (A, B)"
+        series = BudgetSeries(PERIOD, np.zeros(1), np.ones(1))
+        for _ in range(3):
+            assert validate_catalog(catalog) == expected.split("; ")
+            with pytest.raises(ValueError) as raised:
+                AllocationProblem(PERIOD, 1.0, 1.0, catalog)
+            assert str(raised.value) == expected
+            with pytest.raises(ValueError) as raised:
+                simulate(series, catalog, 1.0)
+            assert str(raised.value) == expected
+            with pytest.raises(ValueError) as raised:
+                regime_map(catalog, 1.0, PERIOD)
+            assert str(raised.value) == expected
+
+    def test_cached_arrays_are_read_only(self):
+        catalog = builtin_table1()
+        before = optimize_allocation(problem(5.0, catalog=catalog))
+        modes = catalog._modes
+        for array in (modes.accuracy, modes.power, modes.active, *modes.curve(1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert optimize_allocation(problem(5.0, catalog=catalog)) == before
+
+    def test_validate_catalog_returns_a_new_list(self):
+        catalog = Catalog((DesignPoint(1, "A", 1.5, 1e-3),), 1e-5)
+        problems = validate_catalog(catalog)
+        problems.append("edited")
+        problems.clear()
+        assert validate_catalog(catalog) == ["A: accuracy 1.5 outside (0, 1]"]
+        valid = builtin_table1()
+        validate_catalog(valid).append("edited")
+        assert validate_catalog(valid) == []
+        problem(5.0, catalog=valid)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))])
+    def test_copies_leave_the_caches_behind(self, clone):
+        catalog = builtin_table1()
+        before = optimize_allocation(problem(5.0, catalog=catalog))
+        copied = clone(catalog)
+        assert copied == catalog and hash(copied) == hash(catalog)
+        assert "_modes" not in vars(copied) and "_problems" not in vars(copied)
+        assert optimize_allocation(problem(5.0, catalog=copied)) == before
+
+    def test_alpha_memo_is_bounded(self):
+        catalog = builtin_table1()
+        series = BudgetSeries(PERIOD, PERIOD * np.arange(3), np.array([0.18, 5.0, 9.0]))
+        alphas = np.linspace(0.0, 40.0, 200).tolist()
+        points = sweep_alpha(catalog, series, alphas)
+        curves = catalog._modes._curves
+        assert len(curves) == _ALPHA_MEMO
+        assert list(curves) == alphas[-_ALPHA_MEMO:]  # the oldest were evicted
+        # An evicted alpha is rebuilt with the same bits.
+        assert simulate(series, catalog, alphas[0]).ratio_stats == points[0].ratio_stats
+        assert points[0].ratio_stats == simulate(series, _fresh(catalog), alphas[0]).ratio_stats
+        assert len(curves) == _ALPHA_MEMO
+
+    def test_threads_share_one_catalog(self):
+        catalog = builtin_table1()
+        alphas = np.linspace(0.0, 40.0, 3 * _ALPHA_MEMO).tolist()
+        expected = {a: optimize_allocation(problem(5.0, a, _fresh(catalog))) for a in alphas}
+        mismatches, errors = [], []
+
+        def work(seed):
+            try:
+                for alpha in np.random.default_rng(seed).permutation(alphas).tolist():
+                    if optimize_allocation(problem(5.0, alpha, catalog)) != expected[alpha]:
+                        mismatches.append(alpha)
+            except Exception as exc:  # a thread drops what it raises; assert on it below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert len(catalog._modes._curves) == _ALPHA_MEMO
+
+    def test_second_decision_does_not_validate_again(self, monkeypatch):
+        calls = []
+
+        def counting(catalog):
+            calls.append(catalog)
+            return find_problems(catalog)
+
+        find_problems = catalog_module._find_problems
+        monkeypatch.setattr(catalog_module, "_find_problems", counting)
+        catalog = builtin_table1()
+        series = BudgetSeries(PERIOD, np.zeros(1), np.array([5.0]))
+        for alpha in (1.0, 2.0, 1.0):
+            optimize_allocation(problem(5.0, alpha, catalog))
+            simulate(series, catalog, alpha)
+            regime_map(catalog, alpha, PERIOD)
+        assert validate_catalog(catalog) == []
+        assert len(calls) == 1
+        optimize_allocation(problem(5.0, catalog=_fresh(catalog)))
+        assert len(calls) == 2
+
+    def test_cross_checks_do_not_read_the_cache(self):
+        """A stale mode table misleads the allocator only: build_problem,
+        solve_lp, envelope_oracle and HiGHS still solve the catalog as
+        it is, so they catch the stale table."""
+        pytest.importorskip("scipy.optimize")
+        catalog = builtin_table1()
+        other = Catalog(tuple(DesignPoint(dp.id, dp.label, dp.accuracy / 2, dp.power)
+                              for dp in catalog), catalog.off_power)
+        catalog.__dict__["_modes"] = _Modes(other)
+        prob = problem(5.0, catalog=catalog)
+        assert optimize_allocation(prob).objective == pytest.approx(J_AT_5J / 2, rel=1e-12)
+        assert envelope_oracle(prob) == pytest.approx(J_AT_5J, rel=1e-12)
+        assert solve_lp(build_problem(prob)).objective == pytest.approx(J_AT_5J, rel=1e-9)
+        assert highs_objective(catalog, PERIOD, 5.0, 1.0) == pytest.approx(J_AT_5J, rel=1e-6)
 
 
 class TestStaticBaseline:

@@ -122,6 +122,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             simulate(series, CATALOG, alpha)
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [(float("nan"), "budget nan must be finite and >= 0"),
+         (float("inf"), "budget inf must be finite and >= 0"),
+         (-1.0, "budget -1.0 must be finite and >= 0")],
+    )
+    def test_first_bad_budget_is_named(self, bad, text):
+        budgets = np.array([5.0, 0.0, bad, 5.0, -2.0, 5.0])
+        series = BudgetSeries(HOUR, HOUR * np.arange(len(budgets)), budgets)
+        with pytest.raises(ValueError) as raised:
+            simulate(series, CATALOG, 1.0)
+        assert str(raised.value) == text
+
     def test_reports_are_reproducible(self):
         a = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
         b = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
