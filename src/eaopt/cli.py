@@ -281,8 +281,8 @@ def cmd_sweep(config: RunConfig) -> int:
     catalog = _resolve_catalog(config)
     if config.budget_range is not None:
         start, stop, step = _parse_range(config.budget_range)
-        points = sweep_budget(catalog, config.alpha, start, stop, step, config.period)
-        _emit(sweep_to_csv(points, catalog), config.output)
+        report = sweep_budget(catalog, config.alpha, start, stop, step, config.period)
+        _emit(sweep_to_csv(report, catalog), config.output)
         return 0
     if config.alpha_list is None:
         raise UsageError("sweep over a trace requires --alpha-list")
@@ -306,7 +306,7 @@ def cmd_simulate(config: RunConfig) -> int:
         text = report_to_json(report) if config.format == "json" else report_to_csv(report)
         _emit(text, config.output)
     lines = [
-        f"periods: {len(report.columns.budget)}",
+        f"periods: {len(report)}",
         f"mean expected accuracy: {report.mean_expected_accuracy:.6g}",
         f"mean active fraction: {report.mean_active_fraction:.6g}",
     ]

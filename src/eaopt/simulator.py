@@ -5,6 +5,11 @@ single-mode baseline for the same budgets, and aggregates normalized
 performance ratios.  Periods are independent (no energy rollover), so
 records preserve input order and the whole run is reproducible.
 
+A SimulationReport keeps its periods as arrays.  It is also a sequence
+of its PeriodRecords, which are built on first access; len() and the
+writers read the arrays and build none.  sweep_budget returns the report
+of its grid, and sweep_to_csv renders it from the columns.
+
 When a static baseline scores zero for a period (the budget covers only
 the keep-alive floor, or nothing at all), or so little that the ratio
 overflows, the ratio for that period is undefined; aggregates count those
@@ -74,7 +79,9 @@ class SimulationReport:
     """Aggregates of a simulation, and its periods as columns.
 
     Equality and repr cover the aggregates only; records builds the
-    per-period objects from the columns on first access."""
+    per-period objects from the columns on first access.  The report is a
+    sequence of those records: len() reads the columns and builds nothing,
+    and indexing or iterating reads records."""
 
     alpha: float
     period_length: float
@@ -107,6 +114,15 @@ class SimulationReport:
                 zip(c.starts.tolist(), c.budget.tolist(), optimized, zip(*statics), cells)
             )
         )
+
+    def __len__(self) -> int:
+        return len(self.columns.budget)
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self):
+        return iter(self.records)
 
 
 def _mean(values: list[float]) -> float | None:
@@ -209,12 +225,12 @@ def sweep_budget(
     stop: float,
     step: float,
     period_length: float = 3600.0,
-) -> tuple[PeriodRecord, ...]:
-    """Optimizer and static baselines across a budget grid, one record
-    per grid budget."""
+) -> SimulationReport:
+    """Optimizer and static baselines across a budget grid: the report of
+    one simulation with one period per grid budget."""
     grid = budget_grid(start, stop, step)
     series = BudgetSeries(period_length, period_length * np.arange(len(grid)), grid)
-    return simulate(series, catalog, alpha).records
+    return simulate(series, catalog, alpha)
 
 
 @dataclass(frozen=True)
@@ -234,15 +250,20 @@ def sweep_alpha(
     ]
 
 
-def sweep_to_csv(points: tuple[PeriodRecord, ...], catalog: Catalog) -> str:
-    """One row per budget: optimizer metrics then each static baseline's."""
-    cols, fill = ["budget_j"], [[pt.budget for pt in points]]
-    schedules = [("opt", [pt.optimized for pt in points])]
-    schedules += [(f"dp{dp.id}", [pt.statics[dp.id] for pt in points]) for dp in catalog]
-    for name, allocations in schedules:
-        for metric in ("objective", "expected_accuracy", "active_fraction"):
-            cols.append(f"{name}_{metric}")
-            fill.append(list(map(attrgetter(metric), allocations)))
+def sweep_to_csv(report: SimulationReport, catalog: Catalog) -> str:
+    """One row per budget: optimizer metrics then each static baseline's,
+    rendered from the report's columns.  catalog must be the report's."""
+    if catalog.ids != report.dp_ids:
+        raise ValueError(
+            f"catalog design points {catalog.ids} are not the report's {report.dp_ids}"
+        )
+    metrics = ("objective", "expected_accuracy", "active_fraction")
+    c = report.columns
+    cols = ["budget_j"] + [f"opt_{m}" for m in metrics]
+    fill = [c.budget.tolist()] + c.readings[:3].tolist()
+    for k, dp_id in enumerate(report.dp_ids):
+        cols += [f"dp{dp_id}_{m}" for m in metrics]
+        fill += c.static_readings[:3, :, k].tolist()
     return write_table(",".join(cols), fill)
 
 

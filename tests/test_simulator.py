@@ -181,6 +181,15 @@ class TestSweeps:
         assert len(lines) == 1 + 3
         assert len(lines[1].split(",")) == 4 + 3 * len(CATALOG)
 
+    @pytest.mark.parametrize("design_points", [
+        CATALOG.design_points[:-1],
+        CATALOG.design_points[::-1],
+    ], ids=["fewer", "reordered"])
+    def test_sweep_csv_rejects_another_catalog(self, design_points):
+        report = sweep_budget(CATALOG, 1.0, 1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="not the report's"):
+            sweep_to_csv(report, Catalog(design_points, CATALOG.off_power))
+
     def test_alpha_sweep_stats(self):
         series = month_series(seed=2)
         points = sweep_alpha(CATALOG, series, [0.5, 1.0, 2.0])
@@ -276,9 +285,7 @@ class TestColumnWriters:
         report = simulate(series, catalog, alpha)
         assert report_to_json(report) == reference_report_json(report)
         assert report_to_csv(report) == reference_report_csv(report)
-        assert sweep_to_csv(report.records, catalog) == reference_sweep_csv(
-            report.records, catalog
-        )
+        assert sweep_to_csv(report, catalog) == reference_sweep_csv(report.records, catalog)
         points = sweep_alpha(catalog, series, [alpha, 0.0])
         assert alpha_sweep_to_csv(points, catalog) == reference_alpha_sweep_csv(points, catalog)
 
@@ -375,10 +382,29 @@ class TestLazyRecords:
 
     def test_writers_build_no_record(self, no_records):
         report = simulate(month_series(noise=0.2, seed=4), CATALOG, alpha=2.0)
+        assert len(report) == 720
         report_to_json(report)
         report_to_csv(report)
+        sweep_to_csv(report, CATALOG)
+        assert "records" not in vars(report)
         with pytest.raises(AssertionError, match="PeriodRecord"):
             report.records
+
+    def test_cli_sweep_builds_no_record(self, no_records, capsys):
+        assert main(["sweep", "--budget-range", "1:2:0.5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+    def test_report_is_a_sequence_of_its_records(self):
+        report = sweep_budget(CATALOG, 1.0, 0.18, 10.0, 0.1)
+        assert len(report) == 99
+        assert "records" not in vars(report)
+        records = report.records
+        for i in (0, 42, 98, -1, -99):
+            assert report[i] is records[i]
+        assert all(a is b for a, b in zip(report[3:90:7], records[3:90:7], strict=True))
+        assert list(report) == list(records)
+        with pytest.raises(IndexError):
+            report[99]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_cli_simulate_builds_no_record(self, no_records, tmp_path, capsys, fmt):
