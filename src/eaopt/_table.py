@@ -7,11 +7,18 @@ string column.  load_trace parses a clean file with np.loadtxt and comes
 here only for a file that fast path cannot vouch for; the loop then decides
 both the values and the error text.  Every CSV the package writes (catalogs,
 budget traces, reports and sweeps) is rendered by write_table.
+
+float_words is the one speller of float arrays for every writer, CSV and
+JSON: it spells each distinct bit pattern once and gathers the words back
+into place.  Half the periods of a simulated year are the same zero-budget
+night, so most cells repeat.
 """
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 
 def read_table(source, header: str, parse, error: type[Exception]):
@@ -56,10 +63,37 @@ def read_table(source, header: str, parse, error: type[Exception]):
     return meta, rows, lines
 
 
+def float_words(values: np.ndarray, nonfinite=repr) -> np.ndarray:
+    """Each value of a float64 array as repr spells it, or as nonfinite
+    spells it when NaN or infinite, in an object array of the same shape.
+
+    Values are keyed on their bit patterns, not compared as floats:
+    np.unique would merge -0.0 with 0.0.  The distinct patterns are spelled
+    by one repr of their list, split on ", ".
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    distinct = keys.view(np.float64)
+    words = repr(distinct.tolist())[1:-1].split(", ")
+    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        words[i] = nonfinite(distinct[i].item())
+    return np.array(words, dtype=object)[inverse].reshape(values.shape)
+
+
 def write_table(header: str, columns: list, meta: tuple[str, ...] = ()) -> str:
     """A '#' line for each entry of meta, the header row, then one row per
-    index of the equal-length columns.  %s spells a float as its repr and
-    an int as its str; a blank cell is ""."""
+    index of the equal-length columns.
+
+    The float64 array columns are spelled together by float_words, as repr
+    spells each value.  Any other column's cells go through %s: an int as
+    its str, a word, a label or "" as itself."""
+    columns = list(columns)
+    floats = [k for k, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    if floats:
+        words = float_words(np.stack([columns[k] for k in floats])).tolist()
+        for k, column in zip(floats, words):
+            columns[k] = column
     template = ",".join(["%s"] * len(columns))
     lines = [f"#{line}" for line in meta] + [header]
     lines += [template % row for row in zip(*columns)]

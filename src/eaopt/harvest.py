@@ -275,5 +275,5 @@ def synth_trace(
 
 def budget_series_to_csv(series: BudgetSeries) -> str:
     """The series as a budget-mode trace: one sample per period start."""
-    columns = [np.asarray(c, dtype=float).tolist() for c in (series.starts, series.budgets)]
+    columns = [np.asarray(c, dtype=float) for c in (series.starts, series.budgets)]
     return write_table(TRACE_HEADER, columns, ("mode: budget", "units: J"))

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._table import write_table
+from ._table import float_words, write_table
 from .allocator import Allocation, _allocations, _check_inputs
 from .catalog import Catalog
 from .harvest import BudgetSeries
@@ -174,6 +174,14 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
         raise ValueError("budget series is empty")
     column = np.asarray(budgets.budgets, dtype=float)
     _check_inputs(period_length, column, alpha, catalog)
+    # Copies of starts and budgets, so that records built later do not see
+    # the caller's edits.
+    starts = np.array(budgets.starts, dtype=float)
+    if starts.shape != column.shape:
+        raise ValueError(f"budget series has {starts.size} starts for {column.size} budgets")
+    bad = ~np.isfinite(starts)
+    if bad.any():
+        raise ValueError(f"start {starts[bad.argmax()].item()!r} must be finite")
     modes = catalog._modes
     seconds, readings = modes.solve(alpha, period_length, column)
     static_t, static_readings = modes.baselines(modes.curve(alpha)[0], period_length, column)
@@ -194,8 +202,7 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
         },
         off_share=sum(seconds[:, modes.off].tolist()) / total_time,
         columns=PeriodColumns(
-            # Copies, so that records built later do not see the caller's edits.
-            starts=np.array(budgets.starts, dtype=float),
+            starts=starts,
             budget=column.copy(),
             seconds=seconds,
             readings=readings,
@@ -260,16 +267,16 @@ def sweep_to_csv(report: SimulationReport, catalog: Catalog) -> str:
     metrics = ("objective", "expected_accuracy", "active_fraction")
     c = report.columns
     cols = ["budget_j"] + [f"opt_{m}" for m in metrics]
-    fill = [c.budget.tolist()] + c.readings[:3].tolist()
+    fill = [c.budget, *c.readings[:3]]
     for k, dp_id in enumerate(report.dp_ids):
         cols += [f"dp{dp_id}_{m}" for m in metrics]
-        fill += c.static_readings[:3, :, k].tolist()
+        fill += list(c.static_readings[:3, :, k])
     return write_table(",".join(cols), fill)
 
 
 def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
     """One row per alpha: each design point's ratio stats; None is blank."""
-    cols, fill = ["alpha"], [[pt.alpha for pt in points]]
+    cols, fill = ["alpha"], [np.array([pt.alpha for pt in points])]
     for dp in catalog:
         stats = [pt.ratio_stats[dp.id] for pt in points]
         for metric in ("ratio_mean", "ratio_min", "ratio_max", "defined", "undefined"):
@@ -279,25 +286,15 @@ def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
     return write_table(",".join(cols), fill)
 
 
-def _json_floats(values: np.ndarray) -> list:
-    """A float column spelled as json spells each value: float.__repr__
-    when finite, else Infinity, -Infinity or NaN."""
-    if np.isfinite(values).all():
-        return values.tolist()
-    return [json.dumps(v) for v in values.tolist()]
-
-
-def _blank_undefined(cells: list, defined: np.ndarray, blank: str) -> list:
-    return [cell if ok else blank for cell, ok in zip(cells, defined.tolist())]
-
-
-def _record_template(dp_ids: tuple[int, ...]) -> str:
+def _record_template(dp_ids: tuple[int, ...], status: str) -> tuple[str, str]:
     """One record as json.dumps(indent=2) lays it out inside the records
-    list, with a %s for each value in the order report_to_json fills them."""
+    list, with status in every schedule, split after its "start" value.
+    The head has a %s for the index, the start and the rendered tail; the
+    tail a %s for each float in report_to_json's row order."""
     slot = "%s"
 
     def allocation(ids):  # Allocation.to_dict fixes the key order
-        return Allocation(ids, (slot,) * len(ids), *(slot,) * 6).to_dict()
+        return Allocation(ids, (slot,) * len(ids), *(slot,) * 5, status).to_dict()
 
     record = {
         "index": slot,
@@ -308,7 +305,9 @@ def _record_template(dp_ids: tuple[int, ...]) -> str:
         "ratios": {str(i): slot for i in dp_ids},
     }
     text = json.dumps(record, indent=2).replace("%", "%%").replace('"%%s"', slot)
-    return "    " + text.replace("\n", "\n    ")
+    text = "    " + text.replace("\n", "\n    ")
+    split = text.index('"start": %s') + len('"start": %s')
+    return text[:split] + slot, text[split:]
 
 
 def report_to_json(report: SimulationReport) -> str:
@@ -337,22 +336,31 @@ def report_to_json(report: SimulationReport) -> str:
             for i, st in report.ratio_stats.items()
         },
     }
-    status = [json.dumps(INFEASIBLE if below else OPTIMAL) for below in c.infeasible.tolist()]
-    fill = [range(periods), _json_floats(c.starts), _json_floats(c.budget)]
-    fill += [_json_floats(column) for column in c.seconds.T]
-    fill += [_json_floats(row) for row in c.readings]
-    fill.append(status)
+    # Everything in a record after "start" is a function of the row's
+    # floats, its infeasible flag and its defined mask, so each distinct
+    # row is rendered once; keying on bits keeps -0.0 apart from 0.0.
+    n = len(report.dp_ids)
     static_off = report.period_length - c.static_t
-    for k in range(len(report.dp_ids)):
-        fill += [_json_floats(c.static_t[:, k]), _json_floats(static_off[:, k])]
-        fill += [_json_floats(row) for row in c.static_readings[:, :, k]]
-        fill.append(status)
-    fill += [
-        _blank_undefined(_json_floats(c.ratios[:, k]), c.defined[:, k], "null")
-        for k in range(len(report.dp_ids))
-    ]
-    template = _record_template(report.dp_ids)
-    records = ",\n".join(template % row for row in zip(*fill))
+    floats = np.column_stack(
+        [c.budget, c.seconds, c.readings.T]
+        + [np.column_stack([c.static_t[:, k], static_off[:, k], c.static_readings[:, :, k].T])
+           for k in range(n)]
+        + [c.ratios]
+    )
+    keys = np.column_stack([floats.view(np.int64), c.infeasible, c.defined])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    words = float_words(floats[first], json.dumps)
+    words[:, -n:][~c.defined[first]] = "null"
+    record, optimal_tail = _record_template(report.dp_ids, OPTIMAL)
+    infeasible_tail = _record_template(report.dp_ids, INFEASIBLE)[1]
+    tails = np.array([
+        (infeasible_tail if below else optimal_tail) % tuple(row)
+        for below, row in zip(c.infeasible[first].tolist(), words.tolist())
+    ], dtype=object)[inverse.reshape(-1)]
+    starts = float_words(c.starts, json.dumps)
+    records = ",\n".join(
+        map(record.__mod__, zip(range(periods), starts.tolist(), tails.tolist()))
+    )
     # json.dumps(head) ends in "\n}": the records go in before that brace.
     return json.dumps(head, indent=2)[:-2] + ',\n  "records": [\n' + records + "\n  ]\n}\n"
 
@@ -364,10 +372,9 @@ def report_to_csv(report: SimulationReport) -> str:
     for dp_id in report.dp_ids:
         cols += [f"dp{dp_id}_time", f"dp{dp_id}_static_objective", f"dp{dp_id}_ratio"]
     c = report.columns
-    fill = [range(len(c.budget)), c.starts.tolist(), c.budget.tolist()]
-    fill += c.readings[:3].tolist()
-    fill.append(c.seconds[:, -1].tolist())
+    ratios = float_words(c.ratios)
+    ratios[~c.defined] = ""
+    fill = [range(len(c.budget)), c.starts, c.budget, *c.readings[:3], c.seconds[:, -1]]
     for k in range(len(report.dp_ids)):
-        fill += [c.seconds[:, k].tolist(), c.static_readings[0, :, k].tolist(),
-                 _blank_undefined(c.ratios[:, k].tolist(), c.defined[:, k], "")]
+        fill += [c.seconds[:, k], c.static_readings[0, :, k], ratios[:, k].tolist()]
     return write_table(",".join(cols), fill)

@@ -1,5 +1,6 @@
 """Simulation, sweep, and report-serialization tests."""
 
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from eaopt.catalog import Catalog, DesignPoint, builtin_table1
 from eaopt.cli import main
 from eaopt.harvest import BudgetSeries, PanelModel, synth_trace, trace_to_budgets
 from eaopt.simulator import (
+    PeriodColumns,
     RatioStats,
     alpha_sweep_to_csv,
     budget_grid,
@@ -134,6 +136,19 @@ class TestSimulate:
         with pytest.raises(ValueError) as raised:
             simulate(series, CATALOG, 1.0)
         assert str(raised.value) == text
+
+    def test_starts_must_match_the_budgets(self):
+        series = BudgetSeries(HOUR, np.array([0.0]), np.array([1.0, 5.0, 7.0]))
+        with pytest.raises(ValueError) as raised:
+            simulate(series, CATALOG, 1.0)
+        assert str(raised.value) == "budget series has 1 starts for 3 budgets"
+
+    def test_first_non_finite_start_is_named(self):
+        starts = np.array([0.0, float("nan"), float("inf"), 3 * HOUR])
+        series = BudgetSeries(HOUR, starts, np.full(4, 5.0))
+        with pytest.raises(ValueError) as raised:
+            simulate(series, CATALOG, 1.0)
+        assert str(raised.value) == "start nan must be finite"
 
     def test_reports_are_reproducible(self):
         a = simulate(month_series(noise=0.2, seed=11), CATALOG, alpha=2.0)
@@ -267,6 +282,12 @@ _ONE_DP = (Catalog((DesignPoint(3, "only", 0.8, 1e-3),), 1e-4), 60.0, [0.0, 0.00
 # Every budget at or below the keep-alive floor (0.18 J): every ratio is
 # undefined, so the alpha sweep's mean, min and max cells are blank.
 _AT_FLOOR = (CATALOG, HOUR, [0.0, 0.1, 0.18], 2.0)
+# A -0.0 budget is legal and must stay -0.0 beside a 0.0 one, although
+# np.unique compares them equal.
+_SIGNED_ZERO = (CATALOG, HOUR, [0.0, -0.0, 5.0, -0.0], 1.0)
+# The same few budgets over and over, each at its own start.
+_REPEATED = (CATALOG, HOUR, [0.0, 5.0, 0.0, 9.936, 5.0, 0.0, 0.18, 5.0] * 4, 2.0)
+_EXTREME = (CATALOG, HOUR, [5e-324, 1e308, 0.0, 5e-324], 1.0)
 
 
 class TestColumnWriters:
@@ -279,6 +300,9 @@ class TestColumnWriters:
     @example(case=_HUGE_RATIOS)
     @example(case=_ONE_DP)
     @example(case=_AT_FLOOR)
+    @example(case=_SIGNED_ZERO)
+    @example(case=_REPEATED)
+    @example(case=_EXTREME)
     def test_bytes_equal_reference(self, case):
         catalog, period, budgets, alpha = case
         series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
@@ -293,6 +317,29 @@ class TestColumnWriters:
         report = simulate(month_series(), CATALOG, alpha=2.0)
         assert report_to_json(report) == reference_report_json(report)
         assert report_to_csv(report) == reference_report_csv(report)
+
+    def test_rows_differing_only_in_masks_are_not_merged(self):
+        """report_to_json renders each distinct row once; a row's defined
+        mask and infeasible flag are part of what makes it distinct."""
+        report = simulate(constant_series(5.0, periods=3), CATALOG, alpha=1.0)
+        c = report.columns
+        defined = c.defined.copy()
+        defined[1, 0] = False
+        infeasible = np.array([False, False, True])
+        columns = PeriodColumns(c.starts, c.budget, c.seconds, c.readings, c.static_t,
+                                c.static_readings, c.ratios, defined, infeasible)
+        hand = dataclasses.replace(report, columns=columns)
+        records = json.loads(report_to_json(hand))["records"]
+        assert records[0]["ratios"]["1"] == c.ratios[0, 0]
+        assert records[1]["ratios"]["1"] is None
+        assert records[1]["optimized"] == records[0]["optimized"]
+        assert records[2]["optimized"]["status"] == "infeasible"
+        assert records[2]["statics"]["1"]["status"] == "infeasible"
+        assert records[2]["ratios"] == records[0]["ratios"]
+        for record, expected in zip(records, hand.records):
+            assert record["optimized"] == expected.optimized.to_dict()
+            assert record["statics"] == {str(i): a.to_dict() for i, a in expected.statics.items()}
+            assert record["ratios"] == {str(i): r for i, r in expected.ratios.items()}
 
 
 def test_overflowed_ratio_is_strict_json():

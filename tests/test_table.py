@@ -1,14 +1,16 @@
 """The shared '#'-metadata CSV reader, through each loader that uses it,
-and the np.loadtxt fast path of the trace loader against it."""
+the np.loadtxt fast path of the trace loader against it, and the float
+speller every writer uses."""
 
 import io
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaopt._table import read_table
+from eaopt._table import float_words, read_table
 from eaopt.catalog import CatalogError, load_catalog
 from eaopt.harvest import (
     TRACE_HEADER,
@@ -143,3 +145,25 @@ def test_value_check_counts_blank_body_lines():
         load_trace(io.StringIO(text))
     assert str(excinfo.value) == "line 5: negative value -2.0"
 
+
+# Bit patterns that float comparisons get wrong: -0.0 beside 0.0, NaNs
+# with other signs and payloads, infinities and the smallest subnormal.
+TRAPS = [0, -(2**63), 0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001,
+         0x7FF0000000000000, -0x0010000000000000, 1, -(2**63) + 1, 0x7FEFFFFFFFFFFFFF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.integers(1, 4),
+       bits=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=48))
+@example(columns=2, bits=TRAPS)
+@example(columns=3, bits=[7, 7, 7, 7, -(2**63), 0])
+def test_float_words_spell_each_value(columns, bits):
+    """Every word of a 2-D array is its value's repr, or its json.dumps
+    with json.dumps as the non-finite speller, whatever the bit pattern."""
+    bits = bits[: len(bits) // columns * columns]
+    values = np.array(bits, dtype=np.int64).reshape(-1, columns).view(np.float64)
+    floats = values.tolist()
+    assert float_words(values).tolist() == [[repr(v) for v in row] for row in floats]
+    assert float_words(values, json.dumps).tolist() == [
+        [json.dumps(v) for v in row] for row in floats
+    ]
