@@ -15,9 +15,14 @@ plus an energy inequality).  Its optimum is the rising upper concave
 envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
 evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
-vertex alone once the budget covers its power.  The allocator solves a
-whole array of budgets in closed form on that envelope; regime_map reads
-the budgets where the optimal mix changes off the same envelope.
+vertex alone once the budget covers its power.  Every schedule here is
+one closed form, _Modes.split: mode right runs for
+t_right = clip((budget - p_left T) / (p_right - p_left), 0, T) seconds
+and mode left for the rest.  The optimum takes (left, right) to be the
+envelope segment around budget/T, and the static baseline of design
+point k takes it to be (off, k).  Both solve a whole array of budgets at
+once, and share one keep-alive floor mask.  regime_map reads the budgets
+where the optimal mix changes off the same envelope.
 
 Nothing that depends only on the catalog is redone per decision.  Each
 Catalog keeps, in cached properties, its validation result and one
@@ -123,25 +128,6 @@ def _below_floor(budget, period: float, off_power: float):
     return budget < floor * (1.0 - _FLOOR_RTOL)
 
 
-@dataclass(frozen=True)
-class _Mix:
-    """Schedules that run mode `left` for t_left seconds and mode `right`
-    for t_right seconds; the arrays broadcast to one shape, one entry per
-    schedule.  Modes index a _Modes table, whose last mode is off."""
-
-    left: np.ndarray
-    right: np.ndarray
-    t_left: np.ndarray
-    t_right: np.ndarray
-
-    def weigh(self, weight: np.ndarray) -> np.ndarray:
-        """sum of weight[..., mode] * seconds per schedule, for one weight
-        vector or a stack of them.  Only the two mixed modes take part, so
-        the value does not depend on how many schedules are solved
-        together."""
-        return weight[..., self.left] * self.t_left + weight[..., self.right] * self.t_right
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -209,56 +195,63 @@ class _Modes:
             hull.append(k)
         return np.array([kept[k] for k in hull])
 
-    def readings(self, mix: _Mix, utility: np.ndarray, period: float) -> np.ndarray:
+    def split(self, budgets: np.ndarray, period: float, left, right) -> np.ndarray:
+        """Seconds on mode right of the schedules that mix modes left and
+        right to spend each budget: t_right = (budget - p_left T) /
+        (p_right - p_left), clipped to [0, T]; mode left runs the rest.  A
+        quotient that overflows to inf clips to T."""
+        p_left = self.power[left]
+        with np.errstate(over="ignore"):
+            t_right = (budgets - p_left * period) / (self.power[right] - p_left)
+        return np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
+
+    def readings(self, left, right, t_right, utility: np.ndarray, period: float) -> np.ndarray:
         """Rows objective, expected_accuracy, active_fraction and
-        energy_used of each schedule: one expression, with the weight
-        swapped."""
-        readings = mix.weigh(np.array((utility, self.accuracy, self.active, self.power)))
+        energy_used of each schedule that runs mode left for T - t_right
+        seconds and mode right for t_right: one expression, with the
+        weight swapped.  The arrays broadcast to one shape, one entry per
+        schedule.  Only the two mixed modes take part, so a reading does
+        not depend on how many schedules are solved together."""
+        weight = np.array((utility, self.accuracy, self.active, self.power))
+        readings = weight[..., left] * (period - t_right) + weight[..., right] * t_right
         readings[:3] /= period
         return readings
 
     def solve(self, alpha: float, period: float, budgets: np.ndarray):
         """The optimal schedules, one per budget: (P, N+1) seconds per
-        mode, off last, and their (4, P) readings.  The mean power
-        budget/period falls on one envelope segment (left, right):
-        t_right = (budget - p_left T) / (p_right - p_left), clipped to
-        [0, T], and t_left = T - t_right."""
+        mode, off last, their (4, P) readings, and the (P,) mask of
+        budgets below the keep-alive floor, which stay off.  The mean
+        power budget/period falls on one envelope segment (left, right),
+        which split() shares out."""
         utility, hull = self.curve(alpha)
         if hull.size == 1:  # every utility is 0: stay off
-            hull = np.repeat(hull, 2)
-            seg = np.zeros(budgets.size, dtype=np.intp)
+            left, right = np.full((2, budgets.size), self.off)
             t_right = np.zeros(budgets.size)
         else:
-            hp = self.power[hull]
             # Searching the inner vertices gives the segment index; budgets
             # past either end fall on the end segments and clip there.
-            seg = np.searchsorted(hp[1:-1], budgets / period, side="right")
-            p_left = hp[seg]
-            t_right = (budgets - p_left * period) / (hp[seg + 1] - p_left)
-            np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
-        left = hull[seg]
+            seg = np.searchsorted(self.power[hull[1:-1]], budgets / period, side="right")
+            left, right = hull[seg], hull[seg + 1]
+            t_right = self.split(budgets, period, left, right)
         below = self.infeasible(period, budgets)
         left[below] = self.off
         t_right[below] = 0.0
-        mix = _Mix(left, hull[seg + 1], period - t_right, t_right)
         rows = np.arange(budgets.size)
         seconds = np.zeros((budgets.size, self.off + 1))
-        seconds[rows, mix.left] = mix.t_left
-        seconds[rows, mix.right] += mix.t_right
-        return seconds, self.readings(mix, utility, period)
+        seconds[rows, left] = period - t_right
+        seconds[rows, right] += t_right
+        return seconds, self.readings(left, right, t_right, utility, period), below
 
-    def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray):
+    def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray,
+                  below: np.ndarray):
         """The static schedules: (P, N) seconds on each design point, off
         for the rest of the period, and their (4, P, N) readings.  Design
-        point k runs alone until the budget is spent,
-        t = (budget - off_power T) / (power - off_power) clipped to
-        [0, T]; all off below the floor."""
-        off_power = self.power[self.off]
-        t = (budgets[:, None] - off_power * period) / (self.power[None, : self.off] - off_power)
-        np.minimum(np.maximum(t, 0.0, out=t), period, out=t)
-        t[self.infeasible(period, budgets)] = 0.0
-        mix = _Mix(np.full((1, 1), self.off), np.arange(self.off)[None, :], period - t, t)
-        return t, self.readings(mix, utility, period)
+        point k is split() on the segment (off, k); budgets flagged in
+        below, the keep-alive floor mask, stay off."""
+        off, dps = np.full((1, 1), self.off), np.arange(self.off)[None, :]
+        t = self.split(budgets[:, None], period, off, dps)
+        t[below] = 0.0
+        return t, self.readings(off, dps, t, utility, period)
 
     def infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
         return _below_floor(budgets, period, self.power[self.off])
@@ -298,8 +291,7 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     the keep-alive floor off_power * period."""
     modes = problem.catalog._modes
     budgets = np.array([problem.budget])
-    seconds, readings = modes.solve(problem.alpha, problem.period, budgets)
-    infeasible = modes.infeasible(problem.period, budgets)
+    seconds, readings, infeasible = modes.solve(problem.alpha, problem.period, budgets)
     return _allocations(modes.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
 
 
@@ -394,6 +386,6 @@ def static_dp_allocation(
     _check_inputs(period, (budget,), alpha, catalog)
     modes = catalog._modes
     budgets = np.array([budget])
-    t, readings = modes.baselines(modes.utility(alpha), period, budgets)
     infeasible = modes.infeasible(period, budgets)
+    t, readings = modes.baselines(modes.utility(alpha), period, budgets, infeasible)
     return _allocations(modes.ids, t, period - t[:, 0], readings[:, :, 0], infeasible)[0]

@@ -273,7 +273,17 @@ def synth_trace(
     return HarvestTrace(hours * 3600.0, values, IRRADIANCE)
 
 
+def _check_series(starts: np.ndarray, budgets: np.ndarray) -> None:
+    """Raise ValueError unless there is one finite start per budget."""
+    if starts.shape != budgets.shape:
+        raise ValueError(f"budget series has {starts.size} starts for {budgets.size} budgets")
+    bad = ~np.isfinite(starts)
+    if bad.any():
+        raise ValueError(f"start {starts[bad.argmax()].item()!r} must be finite")
+
+
 def budget_series_to_csv(series: BudgetSeries) -> str:
     """The series as a budget-mode trace: one sample per period start."""
     columns = [np.asarray(c, dtype=float) for c in (series.starts, series.budgets)]
+    _check_series(*columns)
     return write_table(TRACE_HEADER, columns, ("mode: budget", "units: J"))

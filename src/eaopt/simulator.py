@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -30,7 +30,7 @@ import numpy as np
 from ._table import float_words, write_table
 from .allocator import Allocation, _allocations, _check_inputs
 from .catalog import Catalog
-from .harvest import BudgetSeries
+from .harvest import BudgetSeries, _check_series
 from .lp_core import INFEASIBLE, OPTIMAL
 
 
@@ -177,14 +177,11 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     # Copies of starts and budgets, so that records built later do not see
     # the caller's edits.
     starts = np.array(budgets.starts, dtype=float)
-    if starts.shape != column.shape:
-        raise ValueError(f"budget series has {starts.size} starts for {column.size} budgets")
-    bad = ~np.isfinite(starts)
-    if bad.any():
-        raise ValueError(f"start {starts[bad.argmax()].item()!r} must be finite")
+    _check_series(starts, column)
     modes = catalog._modes
-    seconds, readings = modes.solve(alpha, period_length, column)
-    static_t, static_readings = modes.baselines(modes.curve(alpha)[0], period_length, column)
+    seconds, readings, infeasible = modes.solve(alpha, period_length, column)
+    static_t, static_readings = modes.baselines(modes.curve(alpha)[0], period_length, column,
+                                                infeasible)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length
@@ -210,7 +207,7 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
             static_readings=static_readings,
             ratios=ratios,
             defined=defined,
-            infeasible=modes.infeasible(period_length, column),
+            infeasible=infeasible,
         ),
     )
 
@@ -325,16 +322,7 @@ def report_to_json(report: SimulationReport) -> str:
         "mean_active_fraction": report.mean_active_fraction,
         "time_share": {str(i): s for i, s in report.time_share.items()},
         "off_share": report.off_share,
-        "ratio_stats": {
-            str(i): {
-                "mean": st.mean,
-                "min": st.min,
-                "max": st.max,
-                "defined": st.defined,
-                "undefined": st.undefined,
-            }
-            for i, st in report.ratio_stats.items()
-        },
+        "ratio_stats": {str(i): asdict(st) for i, st in report.ratio_stats.items()},
     }
     # Everything in a record after "start" is a function of the row's
     # floats, its infeasible flag and its defined mask, so each distinct

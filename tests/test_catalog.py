@@ -176,6 +176,21 @@ class TestLoad:
         with pytest.raises(CatalogError, match="unknown power unit"):
             load_catalog(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "units, off_power, message",
+        [
+            ("accuracy=fraction, power", "1e-5", "line 1: bad units entry 'power'"),
+            ("accuracy=fraction, power=W", "lots", "line 2: bad off_power value"),
+            ("accuracy=ratio, power=W", "1e-5", "line 1: unknown accuracy unit 'ratio'"),
+        ],
+        ids=["units-entry-without-equals", "unparsable-off-power", "unknown-accuracy-unit"],
+    )
+    def test_bad_metadata_names_its_line(self, units, off_power, message):
+        text = f"#units: {units}\n#off_power={off_power}\nid,label,accuracy,power\n1,A,0.9,0.002\n"
+        with pytest.raises(CatalogError) as raised:
+            load_catalog(io.StringIO(text))
+        assert str(raised.value) == message
+
     def test_data_before_header(self):
         text = (
             "#units: accuracy=fraction, power=W\n#off_power=1e-5\n"

@@ -156,6 +156,10 @@ class TestSweep:
         )
         assert code == 1 and "alpha list" in err
 
+    def test_alpha_list_without_values(self, capsys):
+        code, _, err = run(capsys, "sweep", "--trace", "synth:2d", "--alpha-list", ",")
+        assert code == 1 and "bad alpha list ','" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -283,6 +287,12 @@ class TestConfigMerge:
         config.write_text("wattage = 3\n")
         code, _, err = run(capsys, "optimize", "--config", str(config), "--budget", "5")
         assert code == 1 and "unknown config key" in err
+
+    def test_line_without_equals(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("alpha = 2\nverbose\n")
+        code, _, err = run(capsys, "optimize", "--config", str(config), "--budget", "5")
+        assert code == 1 and ":2: expected key=value, got 'verbose'" in err
 
     def test_bad_value(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -105,16 +105,18 @@ def test_loader_value_check_names_the_line(text, message):
 
 
 @pytest.mark.parametrize(
-    "times, values, message",
+    "times, values, mode, message",
     [
-        ([], [], "trace has no samples"),
-        ([3600.0, 0.0], [1.0, 1.0], "sample 1: timestamp 0.0 not after previous 3600.0"),
-        ([0.0, 60.0], [1.0, -1.0], "sample 1: negative value -1.0"),
+        ([], [], IRRADIANCE, "trace has no samples"),
+        ([3600.0, 0.0], [1.0, 1.0], IRRADIANCE,
+         "sample 1: timestamp 0.0 not after previous 3600.0"),
+        ([0.0, 60.0], [1.0, -1.0], IRRADIANCE, "sample 1: negative value -1.0"),
+        ([0.0], [1.0], "solar", "unknown trace mode 'solar'"),
     ],
-    ids=["empty", "decreasing-times", "negative-irradiance"],
+    ids=["empty", "decreasing-times", "negative-irradiance", "unknown-mode"],
 )
-def test_trace_to_budgets_checks_traces_built_in_python(times, values, message):
-    trace = HarvestTrace(np.array(times), np.array(values), IRRADIANCE)
+def test_trace_to_budgets_checks_traces_built_in_python(times, values, mode, message):
+    trace = HarvestTrace(np.array(times), np.array(values), mode)
     with pytest.raises(TraceError) as excinfo:
         trace_to_budgets(trace, PANEL, HOUR)
     assert str(excinfo.value) == message
@@ -340,6 +342,18 @@ class TestBudgetSeriesCSV:
         text = budget_series_to_csv(BudgetSeries(HOUR, np.array([]), np.array([])))
         with pytest.raises(TraceError, match="no samples"):
             load_trace(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "starts, budgets, message",
+        [([0.0], [1.0, 5.0, 7.0], "budget series has 1 starts for 3 budgets"),
+         ([0.0, float("nan"), float("inf")], [5.0, 5.0, 5.0], "start nan must be finite")],
+        ids=["length-mismatch", "nan-start"],
+    )
+    def test_malformed_series_rejected(self, starts, budgets, message):
+        series = BudgetSeries(HOUR, np.array(starts), np.array(budgets))
+        with pytest.raises(ValueError) as raised:
+            budget_series_to_csv(series)
+        assert str(raised.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(
