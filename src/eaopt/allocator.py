@@ -27,9 +27,10 @@ where the optimal mix changes off the same envelope.
 Nothing that depends only on the catalog is redone per decision.  Each
 Catalog keeps, in cached properties, its validation result and one
 _Modes table: the read-only accuracy, power and active arrays.  The
-table remembers the utilities and envelope of the last _ALPHA_MEMO
-alpha values it was asked for.  optimize_allocation, simulate and
-regime_map all read the envelope from there.
+table keeps the utilities and envelope of _ALPHA_MEMO alpha values in a
+functools.lru_cache; when it is full, the least recently used is
+dropped.  optimize_allocation, simulate and regime_map all read the
+envelope from there.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -45,8 +46,8 @@ read none of these caches.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
 _FLOOR_RTOL = 1e-9
 
 # How many alpha values a _Modes table keeps the utilities and envelope
-# of; the oldest is dropped to make room for a new one.
+# of; the least recently used is dropped to make room for a new one.
 _ALPHA_MEMO = 64
 
 
@@ -140,34 +141,29 @@ class _Modes:
 
     def __init__(self, catalog: Catalog):
         dps = catalog.design_points
-        self.ids = tuple(dp.id for dp in dps)
         self.off = len(dps)
         self.accuracy = _read_only(np.array([dp.accuracy for dp in dps] + [0.0]))
         self.power = _read_only(np.array([dp.power for dp in dps] + [catalog.off_power]))
         active = np.ones(self.off + 1)
         active[self.off] = 0.0
         self.active = _read_only(active)
-        self._curves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()  # threads may share one catalog
 
     def utility(self, alpha: float) -> np.ndarray:
         utility = self.accuracy**alpha
         utility[self.off] = 0.0  # 0.0**0 is 1
         return utility
 
-    def curve(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(utility, envelope) at alpha, both read-only; built on first
-        use and kept for the last _ALPHA_MEMO alpha values."""
-        key = float(alpha)  # 1 and 1.0, 0.0 and -0.0 give the same bits
-        curve = self._curves.get(key)
-        if curve is None:
-            utility = _read_only(self.utility(key))
-            curve = utility, _read_only(self.envelope(utility))
-            with self._lock:
-                if key not in self._curves and len(self._curves) >= _ALPHA_MEMO:
-                    del self._curves[next(iter(self._curves))]
-                curve = self._curves.setdefault(key, curve)
-        return curve
+    @functools.cached_property
+    def curve(self):
+        """_curve, kept for the _ALPHA_MEMO most recently used alpha
+        values.  Built on first use: a table that static_dp_allocation
+        makes for one call never needs it."""
+        return functools.lru_cache(_ALPHA_MEMO)(self._curve)
+
+    def _curve(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(utility, envelope) at alpha, both read-only."""
+        utility = _read_only(self.utility(float(alpha)))  # 1 and 1.0 share one key
+        return utility, _read_only(self.envelope(utility))
 
     def envelope(self, utility: np.ndarray) -> np.ndarray:
         """Modes on the rising upper concave envelope of (power, utility),
@@ -233,7 +229,7 @@ class _Modes:
             seg = np.searchsorted(self.power[hull[1:-1]], budgets / period, side="right")
             left, right = hull[seg], hull[seg + 1]
             t_right = self.split(budgets, period, left, right)
-        below = self.infeasible(period, budgets)
+        below = _below_floor(budgets, period, self.power[self.off])
         left[below] = self.off
         t_right[below] = 0.0
         rows = np.arange(budgets.size)
@@ -252,9 +248,6 @@ class _Modes:
         t = self.split(budgets[:, None], period, off, dps)
         t[below] = 0.0
         return t, self.readings(off, dps, t, utility, period)
-
-    def infeasible(self, period: float, budgets: np.ndarray) -> np.ndarray:
-        return _below_floor(budgets, period, self.power[self.off])
 
 
 def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
@@ -289,10 +282,10 @@ def build_problem(problem: AllocationProblem) -> StandardFormLP:
 def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
-    modes = problem.catalog._modes
+    catalog = problem.catalog
     budgets = np.array([problem.budget])
-    seconds, readings, infeasible = modes.solve(problem.alpha, problem.period, budgets)
-    return _allocations(modes.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
+    seconds, readings, infeasible = catalog._modes.solve(problem.alpha, problem.period, budgets)
+    return _allocations(catalog.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
 
 
 def regime_map(
@@ -310,7 +303,7 @@ def regime_map(
     _check_inputs(period, (), alpha, catalog)
     modes = catalog._modes
     hull = modes.curve(alpha)[1].tolist()
-    ids = (*modes.ids, None)
+    ids = (*catalog.ids, None)
     mixes = [(ids[left], ids[right]) for left, right in zip(hull, hull[1:])]
     return list(zip((modes.power[hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
 
@@ -386,6 +379,6 @@ def static_dp_allocation(
     _check_inputs(period, (budget,), alpha, catalog)
     modes = catalog._modes
     budgets = np.array([budget])
-    infeasible = modes.infeasible(period, budgets)
+    infeasible = _below_floor(budgets, period, off_power)
     t, readings = modes.baselines(modes.utility(alpha), period, budgets, infeasible)
-    return _allocations(modes.ids, t, period - t[:, 0], readings[:, :, 0], infeasible)[0]
+    return _allocations((dp.id,), t, period - t[:, 0], readings[:, :, 0], infeasible)[0]

@@ -20,10 +20,10 @@ accuracy and watt power at 9 significant digits.
 
 A Catalog is immutable, so what depends on it alone is computed once per
 instance and kept on it by ``functools.cached_property``: the validation
-result (``validate_catalog`` copies it into a new list on each call) and
-the allocator's mode table, which in turn keeps each alpha's utilities
-and envelope.  Equality, hash, repr, pickles and copies cover the fields
-only.
+result (``validate_catalog`` copies it into a new list on each call), the
+``ids`` tuple and the allocator's mode table, which in turn keeps each
+alpha's utilities and envelope.  Equality, hash, repr, pickles and
+copies cover the fields only.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class Catalog:
     def __iter__(self):
         return iter(self.design_points)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[int, ...]:
         return tuple(dp.id for dp in self.design_points)
 
@@ -81,7 +81,7 @@ class Catalog:
 
     def __getstate__(self) -> dict:
         """Pickle and deepcopy take the fields only; the copy builds its
-        own caches on first use (the mode table holds a lock)."""
+        own caches on first use."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property

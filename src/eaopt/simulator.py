@@ -190,12 +190,12 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
         period_length=period_length,
         dp_ids=catalog.ids,
         dp_labels=catalog.labels,
-        ratio_stats=_ratio_stats(ratios, defined, modes.ids),
+        ratio_stats=_ratio_stats(ratios, defined, catalog.ids),
         mean_expected_accuracy=sum(readings[1].tolist()) / n,
         mean_active_fraction=sum(readings[2].tolist()) / n,
         time_share={
             dp_id: sum(seconds[:, k].tolist()) / total_time
-            for k, dp_id in enumerate(modes.ids)
+            for k, dp_id in enumerate(catalog.ids)
         },
         off_share=sum(seconds[:, modes.off].tolist()) / total_time,
         columns=PeriodColumns(
@@ -214,12 +214,17 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
 
 def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid start, start+step, ... up to stop."""
+    spec = f"budget range {start!r}:{stop!r}:{step!r}"
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"{spec}: start, stop and step must be finite")
     if step <= 0:
-        raise ValueError(f"step {step!r} must be > 0")
+        raise ValueError(f"{spec}: step must be > 0")
     if stop < start:
-        raise ValueError(f"stop {stop!r} must be >= start {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+        raise ValueError(f"{spec}: stop must be >= start")
+    count = (stop - start) / step + 1e-9
+    if not math.isfinite(count):
+        raise ValueError(f"{spec}: too many points at this step")
+    return start + step * np.arange(int(math.floor(count)) + 1)
 
 
 def sweep_budget(

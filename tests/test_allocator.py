@@ -543,6 +543,7 @@ class TestCatalogCache:
         copied = clone(catalog)
         assert copied == catalog and hash(copied) == hash(catalog)
         assert "_modes" not in vars(copied) and "_problems" not in vars(copied)
+        assert "ids" not in vars(copied) and catalog.ids is catalog.ids
         assert optimize_allocation(problem(5.0, catalog=copied)) == before
 
     def test_alpha_memo_is_bounded(self):
@@ -550,13 +551,23 @@ class TestCatalogCache:
         series = BudgetSeries(PERIOD, PERIOD * np.arange(3), np.array([0.18, 5.0, 9.0]))
         alphas = np.linspace(0.0, 40.0, 200).tolist()
         points = sweep_alpha(catalog, series, alphas)
-        curves = catalog._modes._curves
-        assert len(curves) == _ALPHA_MEMO
-        assert list(curves) == alphas[-_ALPHA_MEMO:]  # the oldest were evicted
+        curve = catalog._modes.curve
+        assert curve.cache_info().currsize == _ALPHA_MEMO
         # An evicted alpha is rebuilt with the same bits.
         assert simulate(series, catalog, alphas[0]).ratio_stats == points[0].ratio_stats
         assert points[0].ratio_stats == simulate(series, _fresh(catalog), alphas[0]).ratio_stats
-        assert len(curves) == _ALPHA_MEMO
+        assert curve.cache_info().currsize == _ALPHA_MEMO
+
+    def test_alpha_memo_drops_the_least_recently_used(self):
+        curve = builtin_table1()._modes.curve
+        alphas = np.linspace(0.0, 40.0, _ALPHA_MEMO + 1).tolist()
+        kept = [curve(alpha) for alpha in alphas[:_ALPHA_MEMO]]
+        assert curve(alphas[0]) is kept[0]  # touched: now the most recent
+        curve(alphas[-1])  # evicts alphas[1], the least recently used
+        assert curve(alphas[0]) is kept[0]
+        rebuilt = curve(alphas[1])
+        assert rebuilt is not kept[1]
+        assert all(np.array_equal(new, old) for new, old in zip(rebuilt, kept[1]))
 
     def test_threads_share_one_catalog(self):
         catalog = builtin_table1()
@@ -584,7 +595,7 @@ class TestCatalogCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
-        assert len(catalog._modes._curves) == _ALPHA_MEMO
+        assert catalog._modes.curve.cache_info().currsize == _ALPHA_MEMO
 
     def test_second_decision_does_not_validate_again(self, monkeypatch):
         calls = []

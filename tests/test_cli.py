@@ -133,7 +133,8 @@ class TestSweep:
         assert code == 1 and "exactly one" in err
 
     def test_bad_range(self, capsys):
-        for bad in ("1:2", "a:b:c", "2:1:0.5", "1:2:0"):
+        for bad in ("1:2", "a:b:c", "2:1:0.5", "1:2:0",
+                    "0:inf:1", "-inf:1:1", "0:1:1e-320", "nan:1:1", "0:1:inf"):
             code, _, err = run(capsys, "sweep", "--budget-range", bad)
             assert code == 1 and "range" in err
 

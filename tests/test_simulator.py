@@ -177,6 +177,10 @@ class TestBudgetGrid:
             budget_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="stop"):
             budget_grid(2.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="budget range .* must be finite"):
+            budget_grid(0.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="budget range .* step"):
+            budget_grid(0.0, 1.0, 1e-320)
 
 
 class TestSweeps:
