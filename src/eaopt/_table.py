@@ -2,11 +2,11 @@
 header row, then comma-separated data rows.  Blank lines are skipped, and a
 line equal to the header is skipped wherever it appears.
 
-load_catalog reads every file through this loop, because a catalog has a
-string column.  load_trace parses a clean file with np.loadtxt and comes
-here only for a file that fast path cannot vouch for; the loop then decides
-both the values and the error text.  Every CSV the package writes (catalogs,
-budget traces, reports and sweeps) is rendered by write_table.
+read_table reads every CSV's metadata and header: a catalog's whole file,
+because it has a string column, and a trace's up to its header.  load_trace
+gives the rest to np.loadtxt, and sends the whole file through the loop only
+where that fast path cannot vouch for the body.  write_table renders every
+CSV the package writes: catalogs, budget traces, reports and sweeps.
 
 float_words is the one speller of float arrays for every writer, CSV and
 JSON: it spells each distinct bit pattern once and gathers the words back

@@ -97,17 +97,15 @@ def _read_pairs(source):
     or a list of lines.  Returns (meta, first column, second column, line
     number of each row), as read_table does.
 
-    The leading '#' and blank lines are scanned as read_table scans them,
-    and the lines after the header go to np.loadtxt.  Its result is kept
-    when the first other line is the header, the lines after it hold no
-    '#', loadtxt raises no ValueError and warns of no empty input, and it
-    gives one row of two values per line.  loadtxt skips blank lines, so
-    that proves there were none, and row i sits on the header's line
-    plus 1 + i.  Any other file (metadata after the header, an inline
-    '#', a repeated header, a wrong field count, a spelling such as 1_000
-    that float() reads and loadtxt does not, a blank line in the body, no
-    rows) goes to the read_table loop, which decides both the values and
-    the error text.
+    The read_table loop reads each file up to its header, and np.loadtxt
+    reads the rest.  Its result is kept when it holds one row of two values
+    per remaining line, with no error and no no-data warning.  loadtxt
+    skips blank lines, so that proves there were none, and row i sits on
+    the header's line plus 1 + i.  Any other file (metadata after the
+    header, an inline '#', a repeated header, a wrong field count, a
+    spelling such as 1_000 that float() reads and loadtxt does not, a
+    blank line in the body, no rows) goes to the read_table loop, which
+    decides both the values and the error text.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
@@ -122,31 +120,24 @@ def _read_pairs(source):
 
 
 def _loadtxt_pairs(lines: list[str]):
-    """_read_pairs through np.loadtxt, or None where only the read_table
-    loop can tell."""
-    meta = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            meta.append((lineno, line[1:].strip()))
-        elif line:
-            break
-    else:
+    """_read_pairs through read_table up to the header and np.loadtxt after
+    it, or None where only the read_table loop can tell.  A first data line
+    that is not the header raises read_table's error for that line, as the
+    loop would."""
+    head = next((i for i, raw in enumerate(lines) if raw.strip()[:1] not in ("", "#")), None)
+    if head is None:
         return None
-    body = lines[lineno:]
-    if [p.strip() for p in line.split(",")] != TRACE_HEADER.split(",") or not body \
-            or "#" in "".join(body):
-        return None
+    meta, _, _ = read_table(lines[:head + 1], TRACE_HEADER, _parse_pair, TraceError)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            table = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, skiprows=head + 1)
     except (ValueError, UserWarning):
         return None
-    if table.shape != (len(body), 2):
+    if table.shape != (len(lines) - head - 1, 2):
         return None
     first, second = table.T.copy()
-    return meta, first, second, range(lineno + 1, lineno + 1 + len(body))
+    return meta, first, second, range(head + 2, len(lines) + 1)
 
 
 def _reject(bad: np.ndarray, lines, message, unit: str = "line") -> None:
@@ -207,7 +198,8 @@ def trace_to_budgets(
     summed into the period containing their timestamp; grid periods with
     no samples get a zero budget.  budget_cap, when set, clips every
     period's budget.  A trace load_trace would reject raises TraceError
-    naming the sample index.
+    naming the sample index, and a period too short to count or lay out
+    raises it naming the period length.
     """
     if trace.mode not in _MODE_UNITS:
         raise TraceError(f"unknown trace mode {trace.mode!r}")
@@ -216,29 +208,35 @@ def trace_to_budgets(
     times = trace.times
     _check_samples(times, trace.values, range(len(times)), "sample")
     t0 = float(times[0])
+    try:
+        if trace.mode == IRRADIANCE:
+            last_hold = float(times[-1]) - float(times[-2]) if len(times) > 1 else period_length
+            end = float(times[-1]) + last_hold
+            n = max(1, math.ceil((end - t0) / period_length - 1e-9))
+        else:
+            # The floor is off by at most one, so one start past it is enough.
+            n = int((float(times[-1]) - t0) // period_length) + 2
+        starts = t0 + period_length * np.arange(n)
+    except (OverflowError, ValueError, MemoryError):
+        raise TraceError(f"period length {period_length!r}: too many periods") from None
     if trace.mode == IRRADIANCE:
         power = trace.values * panel.area * panel.efficiency  # watts
-        last_hold = times[-1] - times[-2] if len(times) > 1 else period_length
-        end = float(times[-1]) + float(last_hold)
-        n = max(1, math.ceil((end - t0) / period_length - 1e-9))
         # Cut every hold at the period edges it crosses, then credit each
         # piece's energy to the period it starts in.  An edge that is also
         # a sample time makes a zero-width piece, which adds nothing.
-        edges = t0 + period_length * np.arange(1, n)
+        edges = starts[1:]
         cuts = np.sort(np.concatenate([times, [end], np.minimum(edges, end)]))
         sample = np.searchsorted(times, cuts[:-1], side="right") - 1
         period = np.searchsorted(edges, cuts[:-1], side="right")
         budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
     else:
         # Bin against the reported starts themselves: (times - t0) // T can
-        # round a sample at a period start into the period before.  The
-        # floor is off by at most one, so one start past it is enough.
-        starts = t0 + period_length * np.arange(int((times[-1] - t0) // period_length) + 2)
+        # round a sample at a period start into the period before.
         index = np.searchsorted(starts, times, side="right") - 1
         budgets = np.bincount(index, weights=trace.values)
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
-    return BudgetSeries(period_length, t0 + period_length * np.arange(len(budgets)), budgets)
+    return BudgetSeries(period_length, starts[:len(budgets)], budgets)
 
 
 def synth_trace(

@@ -221,10 +221,10 @@ def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(f"{spec}: step must be > 0")
     if stop < start:
         raise ValueError(f"{spec}: stop must be >= start")
-    count = (stop - start) / step + 1e-9
-    if not math.isfinite(count):
-        raise ValueError(f"{spec}: too many points at this step")
-    return start + step * np.arange(int(math.floor(count)) + 1)
+    try:
+        return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"{spec}: too many points at this step") from None
 
 
 def sweep_budget(

@@ -147,7 +147,7 @@ class TestLoad:
 
     def test_comments_and_blank_lines_ignored(self):
         text = (
-            "# a note\n\n#units: accuracy=fraction, power=W\n"
+            "# a note\n\n#units: accuracy=fraction,, power=W,\n"
             "#off_power=1e-5\n"
             "id,label,accuracy,power\n"
             "# another note\n"

@@ -134,7 +134,8 @@ class TestSweep:
 
     def test_bad_range(self, capsys):
         for bad in ("1:2", "a:b:c", "2:1:0.5", "1:2:0",
-                    "0:inf:1", "-inf:1:1", "0:1:1e-320", "nan:1:1", "0:1:inf"):
+                    "0:inf:1", "-inf:1:1", "0:1:1e-320", "nan:1:1", "0:1:inf",
+                    "0:1e300:1", "0:4e18:1"):
             code, _, err = run(capsys, "sweep", "--budget-range", bad)
             assert code == 1 and "range" in err
 
@@ -242,6 +243,15 @@ class TestSimulate:
         budgets = [float(row.split(",")[2]) for row in report.read_text().splitlines()[1:]]
         assert budgets == pytest.approx([1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("period", ["5e-324", "1e-300"])
+    def test_period_too_short_for_the_grid(self, capsys, tmp_path, period):
+        budget = tmp_path / "budget.csv"
+        budget.write_text("#mode: budget\ntimestamp,value\n0,1\n60,2\n")
+        for trace in ("synth:1d", str(budget)):
+            code, out, err = run(capsys, "simulate", "--trace", trace, "--period", period)
+            assert (code, out) == (1, "")
+            assert err == f"error: period length {float(period)!r}: too many periods\n"
+
     def test_missing_trace(self, capsys):
         code, _, err = run(capsys, "simulate")
         assert code == 1 and "trace" in err
@@ -279,7 +289,7 @@ class TestConfigMerge:
 
     def test_dashed_keys(self, tmp_path):
         config = tmp_path / "run.conf"
-        config.write_text("panel-area = 0.004\nsynth-seed = 9\n")
+        config.write_text("# run settings\n\npanel-area = 0.004\nsynth-seed = 9\n")
         values = load_config_file(str(config))
         assert values == {"panel_area": 0.004, "synth_seed": 9}
 

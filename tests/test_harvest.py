@@ -164,6 +164,15 @@ class TestIrradianceIntegration:
         with pytest.raises(TraceError, match="period"):
             trace_to_budgets(trace, PANEL, 0.0)
 
+    @pytest.mark.parametrize("period", [5e-324, 1e-300])
+    @pytest.mark.parametrize("trace", [
+        synth_trace(1), HarvestTrace(np.array([0.0, 60.0]), np.array([1.0, 2.0]), BUDGET),
+    ], ids=[IRRADIANCE, BUDGET])
+    def test_period_too_short_for_the_grid(self, trace, period):
+        # Too many periods to count or to lay out: neither value allocates.
+        with pytest.raises(TraceError, match=f"^period length {period!r}: too many periods$"):
+            trace_to_budgets(trace, PANEL, period)
+
     def test_start_off_the_period_grid(self):
         # 10.1 + 60 rounds so that (70.1 - 10.1) / 60 < 1: each hold must
         # still be cut exactly at the period edges it crosses.

@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eaopt import simulator
 from eaopt.allocator import AllocationProblem, optimize_allocation, static_dp_allocation
@@ -179,8 +181,9 @@ class TestBudgetGrid:
             budget_grid(2.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="budget range .* must be finite"):
             budget_grid(0.0, math.inf, 1.0)
-        with pytest.raises(ValueError, match="budget range .* step"):
-            budget_grid(0.0, 1.0, 1e-320)
+        for stop, step in ((1.0, 1e-320), (1e300, 1.0), (4e18, 1.0)):
+            with pytest.raises(ValueError, match="budget range .* too many points"):
+                budget_grid(0.0, stop, step)
 
 
 class TestSweeps:
@@ -464,3 +467,78 @@ class TestLazyRecords:
         assert code == 0
         assert "periods: 48" in capsys.readouterr().out
         assert path.stat().st_size > 0
+
+
+# Ties in power and accuracy are common: each point draws from a small grid
+# or a float range, and an exact twin may follow.
+_META_ACCURACY = st.one_of(st.sampled_from([0.05, 0.5, 0.9, 1.0]), st.floats(0.01, 1.0))
+_META_EXTRA_POWER = st.one_of(st.sampled_from([1e-4, 2e-3]), st.floats(1e-5, 1e-1))
+
+
+@st.composite
+def metamorphic_cases(draw):
+    """(catalog, period, budgets, alpha) for the metamorphic properties:
+    1 to 7 points with ties and twins, off_power 0 or 1e-12 to 0.1 W, T from
+    1 to 1e5 s, budgets at zero, within 1e-8 of the floor, and up to 1.2 x
+    the top power's energy."""
+    off_power = draw(st.one_of(st.just(0.0), st.floats(1e-12, 0.1)))
+    points = draw(st.lists(st.tuples(_META_ACCURACY, _META_EXTRA_POWER), min_size=1,
+                           max_size=6))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))  # an exact twin
+    catalog = Catalog(tuple(DesignPoint(i, f"P{i}", a, off_power + p)
+                            for i, (a, p) in enumerate(points, start=1)), off_power)
+    period = draw(st.one_of(st.sampled_from([1.0, 3600.0, 1e5]), st.floats(1.0, 1e5)))
+    floor = off_power * period
+    top = max(dp.power for dp in catalog) * period
+    budget = st.one_of(
+        st.sampled_from([0.0, floor * (1 - 1e-8), floor, floor * (1 + 1e-8)]),
+        st.floats(0.0, 1.2).map(lambda f: f * top),
+    )
+    budgets = draw(st.lists(budget, min_size=1, max_size=8))
+    alpha = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 64.0)))
+    return catalog, period, budgets, alpha
+
+
+def _simulate_case(catalog, period, budgets, alpha):
+    series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+    return simulate(series, catalog, alpha).columns
+
+
+class TestMetamorphic:
+    """Relations between simulations that must hold bit for bit, whatever
+    the catalog, period and budgets."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=metamorphic_cases(), data=st.data())
+    def test_catalog_order_does_not_matter(self, case, data):
+        catalog, period, budgets, alpha = case
+        shuffled = Catalog(tuple(data.draw(st.permutations(catalog.design_points))),
+                           catalog.off_power)
+        a = _simulate_case(catalog, period, budgets, alpha)
+        b = _simulate_case(shuffled, period, budgets, alpha)
+        assert a.readings[0].tobytes() == b.readings[0].tobytes()
+        assert a.infeasible.tobytes() == b.infeasible.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=metamorphic_cases(), k=st.integers(-20, 20))
+    def test_power_of_two_scale_does_not_matter(self, case, k):
+        catalog, period, budgets, alpha = case
+        # Scaling by 2**k is exact only where no value turns subnormal.
+        assume(all(x == 0 or math.ldexp(x, k) >= sys.float_info.min for x in budgets))
+        scaled = Catalog(
+            tuple(dataclasses.replace(dp, power=math.ldexp(dp.power, k)) for dp in catalog),
+            math.ldexp(catalog.off_power, k),
+        )
+        a = _simulate_case(catalog, period, budgets, alpha)
+        b = _simulate_case(scaled, period, [math.ldexp(x, k) for x in budgets], alpha)
+        assert a.seconds.tobytes() == b.seconds.tobytes()
+        assert a.infeasible.tobytes() == b.infeasible.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=metamorphic_cases())
+    def test_feasible_periods_keep_to_their_budget(self, case):
+        catalog, period, budgets, alpha = case
+        c = _simulate_case(catalog, period, budgets, alpha)
+        feasible = ~c.infeasible
+        assert (c.readings[3][feasible] <= c.budget[feasible] * (1 + 1e-9)).all()

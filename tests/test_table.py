@@ -134,9 +134,17 @@ FAST = {
 @pytest.mark.parametrize("name", list(FALLBACK) + list(FAST))
 def test_read_pairs_matches_the_line_loop_on(name):
     text = {**FALLBACK, **FAST}[name]
-    assert outcome(_read_pairs, text) == outcome(loop_pairs, text)
-    lines = io.StringIO(text).readlines()
-    assert (_loadtxt_pairs(lines) is not None) == (name in FAST)
+    expected = outcome(loop_pairs, text)
+    assert outcome(_read_pairs, text) == expected
+    try:
+        fast = _loadtxt_pairs(io.StringIO(text).readlines())
+    except TraceError as exc:
+        fast = str(exc)
+    if name in FAST:
+        assert isinstance(fast, tuple)
+    else:
+        # None, or the loop's own error for a data line before the header.
+        assert fast is None or fast == expected
 
 
 def test_value_check_counts_blank_body_lines():
