@@ -24,13 +24,18 @@ point k takes it to be (off, k).  Both solve a whole array of budgets at
 once, and share one keep-alive floor mask.  regime_map reads the budgets
 where the optimal mix changes off the same envelope.
 
-Nothing that depends only on the catalog is redone per decision.  Each
-Catalog keeps, in cached properties, its validation result and one
+Nothing that depends only on (catalog, alpha) is redone per decision.
+Each Catalog keeps, in cached properties, its validation result and one
 _Modes table: the read-only accuracy, power and active arrays.  The
-table keeps the utilities and envelope of _ALPHA_MEMO alpha values in a
-functools.lru_cache; when it is full, the least recently used is
-dropped.  optimize_allocation, simulate and regime_map all read the
-envelope from there.
+table keeps one _Segments table for each of _ALPHA_MEMO alpha values in
+a functools.lru_cache, dropping the least recently used when it is
+full: the utilities, the envelope and its inner vertex powers, as
+read-only arrays and again as tuples.  simulate solves its budgets with
+_Modes.solve on the arrays.  optimize_allocation is one decision: one
+bisect of the inner vertex powers, then the same closed form on the
+tuples' Python floats, in the same order of operations, so that it
+gives the same bits as solve() on that one budget.  regime_map reads
+the envelope from the same table.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -46,6 +51,7 @@ read none of these caches.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -64,19 +70,33 @@ _FLOOR_RTOL = 1e-9
 _ALPHA_MEMO = 64
 
 
-def _check_inputs(period: float, budgets, alpha: float, catalog: Catalog) -> None:
-    """Raise ValueError on the first input no schedule can be solved for."""
+def _check_inputs(period: float, alpha: float, catalog: Catalog, bad_budget=lambda: None) -> None:
+    """Raise ValueError on the first input no schedule can be solved for,
+    checking the period, the budgets, alpha and the catalog in that order.
+    bad_budget returns the first budget that is not finite and >= 0, or
+    None."""
     if not (math.isfinite(period) and period > 0):
         raise ValueError(f"period {period!r} must be finite and > 0")
-    budgets = np.asarray(budgets)
-    bad = ~(np.isfinite(budgets) & (budgets >= 0))
-    if bad.any():
-        budget = budgets[bad.argmax()].item()
+    budget = bad_budget()
+    if budget is not None:
         raise ValueError(f"budget {budget!r} must be finite and >= 0")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha {alpha!r} must be finite and >= 0")
     if catalog._problems:
         raise ValueError("; ".join(catalog._problems))
+
+
+def _bad_budget(budget):
+    """budget as a Python number if it is not finite and >= 0, else None."""
+    if math.isfinite(budget) and budget >= 0:
+        return None
+    return np.asarray(budget).item()  # np.float64(nan) reads nan
+
+
+def _first_bad_budget(budgets: np.ndarray):
+    """The first of budgets that is not finite and >= 0, or None."""
+    bad = ~(np.isfinite(budgets) & (budgets >= 0))
+    return budgets[bad.argmax()].item() if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -89,7 +109,7 @@ class AllocationProblem:
     catalog: Catalog
 
     def __post_init__(self):
-        _check_inputs(self.period, (self.budget,), self.alpha, self.catalog)
+        _check_inputs(self.period, self.alpha, self.catalog, lambda: _bad_budget(self.budget))
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@dataclass(frozen=True)
+class _Segments:
+    """The envelope of one (catalog, alpha) as a segment table: segment k
+    mixes vertices hull[k] and hull[k + 1], and a mean power budget/T
+    falls on the segment that bisecting the inner vertex powers gives.
+    The arrays are read-only and serve the array solve; the tuples hold
+    the same numbers as Python ints and floats for the scalar reader."""
+
+    utility: np.ndarray  # (N+1,) accuracy**alpha per mode, off last
+    hull: np.ndarray  # mode of each envelope vertex, cheapest first, off first
+    inner: np.ndarray  # power of each vertex but the first and the last
+    hull_modes: tuple[int, ...]
+    inner_powers: tuple[float, ...]
+    weights: tuple[tuple[float, ...], ...]  # rows utility, accuracy, active, power
+
+
 class _Modes:
     """A catalog as read-only arrays: its design points, then the off
     state.  Catalog._modes holds one per catalog, shared by every
@@ -160,10 +196,19 @@ class _Modes:
         makes for one call never needs it."""
         return functools.lru_cache(_ALPHA_MEMO)(self._curve)
 
-    def _curve(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(utility, envelope) at alpha, both read-only."""
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        """The accuracy, active and power rows as tuples, shared by the
+        tables of every alpha."""
+        return tuple(tuple(row.tolist()) for row in (self.accuracy, self.active, self.power))
+
+    def _curve(self, alpha: float) -> _Segments:
+        """The segment table at alpha."""
         utility = _read_only(self.utility(float(alpha)))  # 1 and 1.0 share one key
-        return utility, _read_only(self.envelope(utility))
+        hull = _read_only(self.envelope(utility))
+        inner = _read_only(self.power[hull[1:-1]])
+        return _Segments(utility, hull, inner, tuple(hull.tolist()), tuple(inner.tolist()),
+                         (tuple(utility.tolist()), *self._rows))
 
     def envelope(self, utility: np.ndarray) -> np.ndarray:
         """Modes on the rising upper concave envelope of (power, utility),
@@ -219,14 +264,15 @@ class _Modes:
         budgets below the keep-alive floor, which stay off.  The mean
         power budget/period falls on one envelope segment (left, right),
         which split() shares out."""
-        utility, hull = self.curve(alpha)
+        table = self.curve(alpha)
+        hull = table.hull
         if hull.size == 1:  # every utility is 0: stay off
             left, right = np.full((2, budgets.size), self.off)
             t_right = np.zeros(budgets.size)
         else:
             # Searching the inner vertices gives the segment index; budgets
             # past either end fall on the end segments and clip there.
-            seg = np.searchsorted(self.power[hull[1:-1]], budgets / period, side="right")
+            seg = np.searchsorted(table.inner, budgets / period, side="right")
             left, right = hull[seg], hull[seg + 1]
             t_right = self.split(budgets, period, left, right)
         below = _below_floor(budgets, period, self.power[self.off])
@@ -236,7 +282,35 @@ class _Modes:
         seconds = np.zeros((budgets.size, self.off + 1))
         seconds[rows, left] = period - t_right
         seconds[rows, right] += t_right
-        return seconds, self.readings(left, right, t_right, utility, period), below
+        return seconds, self.readings(left, right, t_right, table.utility, period), below
+
+    def decide(self, alpha: float, period: float, budget: float):
+        """The optimal schedule of one budget, as solve() finds it, by the
+        same operations in the same order on Python floats: its N+1
+        seconds per mode, off last, its four readings, and whether the
+        budget is below the keep-alive floor."""
+        table = self.curve(alpha)
+        hull, power = table.hull_modes, table.weights[3]
+        if len(hull) == 1:  # every utility is 0: stay off
+            left = right = self.off
+            t_right = 0.0
+        else:
+            seg = bisect.bisect_right(table.inner_powers, budget / period)
+            left, right = hull[seg], hull[seg + 1]
+            p_left = power[left]
+            t_right = (budget - p_left * period) / (power[right] - p_left)
+            # 0.0 first: a budget of -0.0 clips to 0.0, as in np.maximum.
+            t_right = min(period, max(0.0, t_right))
+        below = _below_floor(budget, period, power[self.off])
+        if below:
+            left, t_right = self.off, 0.0
+        seconds = [0.0] * (self.off + 1)
+        seconds[left] = period - t_right
+        seconds[right] += t_right
+        objective, accuracy, active, energy = (
+            row[left] * (period - t_right) + row[right] * t_right for row in table.weights
+        )
+        return seconds, (objective / period, accuracy / period, active / period, energy), below
 
     def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray,
                   below: np.ndarray):
@@ -283,9 +357,10 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
     catalog = problem.catalog
-    budgets = np.array([problem.budget])
-    seconds, readings, infeasible = catalog._modes.solve(problem.alpha, problem.period, budgets)
-    return _allocations(catalog.ids, seconds[:, :-1], seconds[:, -1], readings, infeasible)[0]
+    seconds, readings, below = catalog._modes.decide(
+        problem.alpha, float(problem.period), float(problem.budget))
+    return Allocation(catalog.ids, tuple(seconds[:-1]), seconds[-1], *readings,
+                      INFEASIBLE if below else OPTIMAL)
 
 
 def regime_map(
@@ -300,12 +375,13 @@ def regime_map(
     start on.  Below the first start, the keep-alive floor, no schedule
     is feasible.
     """
-    _check_inputs(period, (), alpha, catalog)
+    _check_inputs(period, alpha, catalog)
     modes = catalog._modes
-    hull = modes.curve(alpha)[1].tolist()
+    table = modes.curve(alpha)
+    hull = table.hull_modes
     ids = (*catalog.ids, None)
     mixes = [(ids[left], ids[right]) for left, right in zip(hull, hull[1:])]
-    return list(zip((modes.power[hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
+    return list(zip((modes.power[table.hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
 
 
 def envelope_oracle(problem: AllocationProblem) -> float:
@@ -376,7 +452,7 @@ def static_dp_allocation(
     checks them.
     """
     catalog = Catalog((dp,), off_power)
-    _check_inputs(period, (budget,), alpha, catalog)
+    _check_inputs(period, alpha, catalog, lambda: _bad_budget(budget))
     modes = catalog._modes
     budgets = np.array([budget])
     infeasible = _below_floor(budgets, period, off_power)

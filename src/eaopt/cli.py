@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="budget sweep (CSV) or alpha sweep over a trace")
     schedule(p_sw)
     panel(p_sw)
-    p_sw.add_argument("--budget-range", help="start:stop:step in J, inclusive grid")
+    p_sw.add_argument("--budget-range",
+                      help="start:stop:step in J, inclusive grid of at most 2**20 points")
     p_sw.add_argument("--trace", help="trace CSV path or synth:<days>d (alpha sweep)")
     p_sw.add_argument("--alpha-list", help="comma-separated alphas for the trace sweep")
     p_sw.set_defaults(func=cmd_sweep)

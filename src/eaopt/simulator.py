@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._table import float_words, write_table
-from .allocator import Allocation, _allocations, _check_inputs
+from .allocator import Allocation, _allocations, _check_inputs, _first_bad_budget
 from .catalog import Catalog
 from .harvest import BudgetSeries, _check_series
 from .lp_core import INFEASIBLE, OPTIMAL
@@ -173,15 +173,15 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
     column = np.asarray(budgets.budgets, dtype=float)
-    _check_inputs(period_length, column, alpha, catalog)
+    _check_inputs(period_length, alpha, catalog, lambda: _first_bad_budget(column))
     # Copies of starts and budgets, so that records built later do not see
     # the caller's edits.
     starts = np.array(budgets.starts, dtype=float)
     _check_series(starts, column)
     modes = catalog._modes
     seconds, readings, infeasible = modes.solve(alpha, period_length, column)
-    static_t, static_readings = modes.baselines(modes.curve(alpha)[0], period_length, column,
-                                                infeasible)
+    static_t, static_readings = modes.baselines(modes.curve(alpha).utility, period_length,
+                                                column, infeasible)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length
@@ -212,8 +212,14 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     )
 
 
+# The most points budget_grid makes: 8 MB of budgets, and one simulated
+# period each.
+_MAX_GRID_POINTS = 2**20
+
+
 def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive arithmetic grid start, start+step, ... up to stop."""
+    """Inclusive arithmetic grid start, start+step, ... up to stop, of at
+    most _MAX_GRID_POINTS points."""
     spec = f"budget range {start!r}:{stop!r}:{step!r}"
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"{spec}: start, stop and step must be finite")
@@ -222,9 +228,12 @@ def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
     if stop < start:
         raise ValueError(f"{spec}: stop must be >= start")
     try:
-        return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
-    except (OverflowError, ValueError, MemoryError):
-        raise ValueError(f"{spec}: too many points at this step") from None
+        points = math.floor((stop - start) / step + 1e-9) + 1
+    except OverflowError:  # the quotient overflowed to inf
+        points = math.inf
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{spec}: too many points at this step")
+    return start + step * np.arange(points)
 
 
 def sweep_budget(

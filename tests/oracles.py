@@ -155,6 +155,38 @@ def degenerate_cases(draw):
     return catalog, period, budgets, alpha
 
 
+# The north star's scales: microwatt to watt powers, periods from 1 s.
+_WIDE_POWER = st.one_of(st.sampled_from([1e-6, 1e-3, 1.0]), st.floats(1e-6, 1.0))
+_WIDE_PERIOD = st.one_of(st.sampled_from([1.0, 3600.0, 1e5]), st.floats(1.0, 1e5))
+
+
+@st.composite
+def every_scale_cases(draw):
+    """(catalog, period, budgets, alpha) with powers from 1 uW to 1 W,
+    periods from 1 s to 1e5 s, power and accuracy ties, exact twins and
+    off_power = 0.  The budgets are 0 and -0.0, the keep-alive floor and
+    1e-8 either side of it, each design point's saturation budget, 1e308,
+    and a few between the floor and past the top saturation budget."""
+    points = draw(st.lists(st.tuples(_ACCURACY, _WIDE_POWER), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))  # an exact twin
+    off_power = min(p for _, p in points) * draw(
+        st.one_of(st.just(0.0), st.floats(0.0, 0.9))
+    )
+    catalog = Catalog(
+        tuple(DesignPoint(i, f"P{i}", a, p) for i, (a, p) in enumerate(points, 1)), off_power
+    )
+    period = draw(_WIDE_PERIOD)
+    floor = off_power * period
+    top = max(p for _, p in points) * period
+    budgets = [0.0, -0.0, floor * (1 - 1e-8), floor, floor * (1 + 1e-8),
+               *(p * period for _, p in points), 1e308]
+    budgets += draw(st.lists(st.floats(0.0, 1.2).map(lambda f: floor + f * (top - floor)),
+                             max_size=5))
+    alpha = draw(st.one_of(st.sampled_from([0.0, 1e-9, 1.0, 40.0]), st.floats(0.0, 64.0)))
+    return catalog, period, budgets, alpha
+
+
 def highs_objective(catalog, period: float, budget: float, alpha: float) -> float:
     """Optimum from SciPy's HiGHS on the allocation LP rescaled to unit
     magnitudes: time as a share of the period, utility over the largest

@@ -2,6 +2,8 @@
 reduction identities, and dominance properties."""
 
 import copy
+import dataclasses
+import math
 import pickle
 import sys
 import threading
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from eaopt import catalog as catalog_module
 from eaopt.allocator import (
     _ALPHA_MEMO,
+    Allocation,
     AllocationProblem,
     _Modes,
     build_problem,
@@ -26,7 +29,7 @@ from eaopt.catalog import Catalog, DesignPoint, builtin_table1, validate_catalog
 from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
 from eaopt.simulator import report_to_csv, report_to_json, simulate, sweep_alpha
-from oracles import degenerate_cases, highs_objective, random_catalog
+from oracles import degenerate_cases, every_scale_cases, highs_objective, random_catalog
 
 PERIOD = 3600.0
 
@@ -60,6 +63,22 @@ J_ALPHA2_AT_DP3_SATURATION = 0.8464
 
 def problem(budget, alpha=1.0, catalog=None, period=PERIOD):
     return AllocationProblem(period, budget, alpha, catalog or builtin_table1())
+
+
+def _float_bits(values) -> list[str]:
+    """Each float spelled by float.hex, so that -0.0 and 0.0 differ."""
+    return [float.hex(value) for value in values]
+
+
+def _floats(allocation: Allocation) -> tuple:
+    """allocation's seconds, off last, then its four readings."""
+    return (*allocation.times, allocation.off_time, allocation.objective,
+            allocation.expected_accuracy, allocation.active_fraction, allocation.energy_used)
+
+
+def _bits(allocation: Allocation) -> tuple:
+    """allocation's fields with every float spelled by float.hex."""
+    return allocation.dp_ids, allocation.status, _float_bits(_floats(allocation))
 
 
 class TestFrozenOptima:
@@ -170,6 +189,33 @@ class TestFeasibilityEdges:
             AllocationProblem(PERIOD, 1.0, -0.5, builtin_table1())
         with pytest.raises(ValueError, match="no design points"):
             AllocationProblem(PERIOD, 1.0, 1.0, Catalog((), 1e-5))
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (math.nan, "budget nan must be finite and >= 0"),
+            (-1.0, "budget -1.0 must be finite and >= 0"),
+            (math.inf, "budget inf must be finite and >= 0"),
+            (-1, "budget -1 must be finite and >= 0"),
+            (np.float64(math.nan), "budget nan must be finite and >= 0"),
+            (np.float64(-math.inf), "budget -inf must be finite and >= 0"),
+            (np.float32(math.nan), "budget nan must be finite and >= 0"),
+            (np.float32(-0.1), "budget -0.10000000149011612 must be finite and >= 0"),
+        ],
+    )
+    def test_rejected_budget_reads_as_a_python_number(self, budget, message):
+        with pytest.raises(ValueError) as raised:
+            problem(budget)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "budget",
+        [5.0, 5, True, False, 0, -0.0, np.float64(5.0), np.float32(5.0), np.float32(0.1)],
+    )
+    def test_accepted_budget_gives_python_floats(self, budget):
+        allocation = optimize_allocation(problem(budget))
+        assert all(type(value) is float for value in _floats(allocation))
+        assert _bits(allocation) == _bits(optimize_allocation(problem(float(budget))))
 
 
 class TestAccountingIdentities:
@@ -379,11 +425,25 @@ class TestEngineProperties:
         assert report.records == before  # the writers leave the columns as they were
         for record, budget in zip(report.records, budgets):
             single = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
-            assert record.optimized == single
+            assert _bits(record.optimized) == _bits(single)
             for dp in catalog:
-                assert record.statics[dp.id] == static_dp_allocation(
+                assert _bits(record.statics[dp.id]) == _bits(static_dp_allocation(
                     dp, period, budget, catalog.off_power, alpha
-                )
+                ))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=every_scale_cases())
+    def test_decision_is_bit_identical_to_the_array_solve(self, case):
+        """optimize_allocation reads one budget off the segment table in
+        Python floats; _Modes.solve reads a whole array of them.  Both
+        are the one closed form, so they agree to the bit."""
+        catalog, period, budgets, alpha = case
+        seconds, readings, below = catalog._modes.solve(alpha, period, np.array(budgets))
+        for k, budget in enumerate(budgets):
+            allocation = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
+            assert _float_bits(_floats(allocation)) == _float_bits(
+                [*seconds[k].tolist(), *readings[:, k].tolist()])
+            assert allocation.status == (INFEASIBLE if below[k] else OPTIMAL)
 
 
 def _running(catalog, period, alpha, budget) -> set:
@@ -479,6 +539,19 @@ def _fresh(catalog: Catalog) -> Catalog:
     return Catalog(tuple(catalog.design_points), catalog.off_power)
 
 
+def _table_bits(table) -> list:
+    """Every field of a segment table: arrays as dtype and raw bytes,
+    floats spelled by float.hex."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tobytes()
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return float.hex(value) if isinstance(value, float) else value
+
+    return [bits(getattr(table, field.name)) for field in dataclasses.fields(table)]
+
+
 class TestCatalogCache:
     """Validation, the mode arrays and each alpha's envelope are computed
     once per catalog object and shared by every later call on it."""
@@ -519,9 +592,22 @@ class TestCatalogCache:
         catalog = builtin_table1()
         before = optimize_allocation(problem(5.0, catalog=catalog))
         modes = catalog._modes
-        for array in (modes.accuracy, modes.power, modes.active, *modes.curve(1.0)):
+        table = modes.curve(1.0)
+        for array in (modes.accuracy, modes.power, modes.active,
+                      table.utility, table.hull, table.inner):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+        # The mirrors are tuples, and hold the arrays' numbers.
+        assert all(type(mirror) is tuple
+                   for mirror in (table.hull_modes, table.inner_powers, table.weights,
+                                  *table.weights))
+        assert table.hull_modes == tuple(table.hull.tolist())
+        assert _float_bits(table.inner_powers) == _float_bits(table.inner.tolist())
+        weights = (table.utility, modes.accuracy, modes.active, modes.power)
+        for mirror, row in zip(table.weights, weights, strict=True):
+            assert _float_bits(mirror) == _float_bits(row.tolist())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.hull_modes = ()
         assert optimize_allocation(problem(5.0, catalog=catalog)) == before
 
     def test_validate_catalog_returns_a_new_list(self):
@@ -567,7 +653,7 @@ class TestCatalogCache:
         assert curve(alphas[0]) is kept[0]
         rebuilt = curve(alphas[1])
         assert rebuilt is not kept[1]
-        assert all(np.array_equal(new, old) for new, old in zip(rebuilt, kept[1]))
+        assert _table_bits(rebuilt) == _table_bits(kept[1])
 
     def test_threads_share_one_catalog(self):
         catalog = builtin_table1()
@@ -618,16 +704,23 @@ class TestCatalogCache:
         assert len(calls) == 2
 
     def test_cross_checks_do_not_read_the_cache(self):
-        """A stale mode table misleads the allocator only: build_problem,
-        solve_lp, envelope_oracle and HiGHS still solve the catalog as
-        it is, so they catch the stale table."""
+        """A stale mode table misleads optimize_allocation, simulate and
+        regime_map only: build_problem, solve_lp, envelope_oracle and
+        HiGHS still solve the catalog as it is, so they catch the stale
+        table.  The stale one squares every accuracy, so at alpha = 1 it
+        gives the alpha = 2 answers."""
         pytest.importorskip("scipy.optimize")
         catalog = builtin_table1()
-        other = Catalog(tuple(DesignPoint(dp.id, dp.label, dp.accuracy / 2, dp.power)
+        other = Catalog(tuple(DesignPoint(dp.id, dp.label, dp.accuracy**2, dp.power)
                               for dp in catalog), catalog.off_power)
         catalog.__dict__["_modes"] = _Modes(other)
         prob = problem(5.0, catalog=catalog)
-        assert optimize_allocation(prob).objective == pytest.approx(J_AT_5J / 2, rel=1e-12)
+        squared = optimize_allocation(problem(5.0, alpha=2.0)).objective
+        assert optimize_allocation(prob).objective == pytest.approx(squared, rel=1e-12)
+        series = BudgetSeries(PERIOD, np.zeros(1), np.array([5.0]))
+        assert simulate(series, catalog, 1.0).mean_active_fraction == pytest.approx(
+            simulate(series, builtin_table1(), 2.0).mean_active_fraction, rel=1e-12)
+        assert regime_map(catalog, 1.0, PERIOD) == TestRegimeMap.BUILTIN[2.0]
         assert envelope_oracle(prob) == pytest.approx(J_AT_5J, rel=1e-12)
         assert solve_lp(build_problem(prob)).objective == pytest.approx(J_AT_5J, rel=1e-9)
         assert highs_objective(catalog, PERIOD, 5.0, 1.0) == pytest.approx(J_AT_5J, rel=1e-6)

@@ -139,6 +139,15 @@ class TestSweep:
             code, _, err = run(capsys, "sweep", "--budget-range", bad)
             assert code == 1 and "range" in err
 
+    def test_huge_range_is_refused_before_allocating(self, capsys, monkeypatch):
+        def no_arange(*args, **kwargs):
+            raise AssertionError(f"np.arange{args} ran")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        code, out, err = run(capsys, "sweep", "--budget-range", "0:1e9:1")
+        assert code == 1 and out == ""
+        assert err == "error: budget range 0.0:1000000000.0:1.0: too many points at this step\n"
+
     def test_alpha_sweep_over_synth_trace(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--trace", "synth:2d", "--alpha-list", "0.5,1,2"

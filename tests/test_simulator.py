@@ -185,6 +185,17 @@ class TestBudgetGrid:
             with pytest.raises(ValueError, match="budget range .* too many points"):
                 budget_grid(0.0, stop, step)
 
+    def test_point_cap_is_checked_before_allocating(self, monkeypatch):
+        assert len(budget_grid(0.0, 2**20 - 1, 1.0)) == 2**20
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError(f"np.arange{args} ran")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        for stop in (2.0**20, 1e9):
+            with pytest.raises(ValueError, match="budget range .* too many points"):
+                budget_grid(0.0, stop, 1.0)
+
 
 class TestSweeps:
     def test_budget_sweep_rows_and_dominance(self):
