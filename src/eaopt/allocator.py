@@ -58,45 +58,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerance import FLOOR_RTOL
 from .catalog import Catalog, DesignPoint
+from .harvest import _check_budget
 from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
-
-# Relative slack when deciding whether a budget can even sustain the
-# keep-alive draw for the whole period.
-_FLOOR_RTOL = 1e-9
 
 # How many alpha values a _Modes table keeps the utilities and envelope
 # of; the least recently used is dropped to make room for a new one.
 _ALPHA_MEMO = 64
 
 
-def _check_inputs(period: float, alpha: float, catalog: Catalog, bad_budget=lambda: None) -> None:
+def _check_inputs(period: float, alpha: float, catalog: Catalog, check_budgets=lambda: None) -> None:
     """Raise ValueError on the first input no schedule can be solved for,
-    checking the period, the budgets, alpha and the catalog in that order.
-    bad_budget returns the first budget that is not finite and >= 0, or
-    None."""
+    checking the period, the budgets (check_budgets raises on a bad one),
+    alpha and the catalog in that order."""
     if not (math.isfinite(period) and period > 0):
         raise ValueError(f"period {period!r} must be finite and > 0")
-    budget = bad_budget()
-    if budget is not None:
-        raise ValueError(f"budget {budget!r} must be finite and >= 0")
+    check_budgets()
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha {alpha!r} must be finite and >= 0")
     if catalog._problems:
         raise ValueError("; ".join(catalog._problems))
-
-
-def _bad_budget(budget):
-    """budget as a Python number if it is not finite and >= 0, else None."""
-    if math.isfinite(budget) and budget >= 0:
-        return None
-    return np.asarray(budget).item()  # np.float64(nan) reads nan
-
-
-def _first_bad_budget(budgets: np.ndarray):
-    """The first of budgets that is not finite and >= 0, or None."""
-    bad = ~(np.isfinite(budgets) & (budgets >= 0))
-    return budgets[bad.argmax()].item() if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -109,7 +91,7 @@ class AllocationProblem:
     catalog: Catalog
 
     def __post_init__(self):
-        _check_inputs(self.period, self.alpha, self.catalog, lambda: _bad_budget(self.budget))
+        _check_inputs(self.period, self.alpha, self.catalog, lambda: _check_budget(self.budget))
 
 
 @dataclass(frozen=True)
@@ -146,7 +128,7 @@ class Allocation:
 def _below_floor(budget, period: float, off_power: float):
     """Whether each budget falls short of the keep-alive draw off_power * period."""
     floor = off_power * period
-    return budget < floor * (1.0 - _FLOOR_RTOL)
+    return budget < floor * (1.0 - FLOOR_RTOL)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -271,8 +253,11 @@ class _Modes:
             t_right = np.zeros(budgets.size)
         else:
             # Searching the inner vertices gives the segment index; budgets
-            # past either end fall on the end segments and clip there.
-            seg = np.searchsorted(table.inner, budgets / period, side="right")
+            # past either end fall on the end segments and clip there.  A
+            # mean power that overflows to inf falls past every vertex.
+            with np.errstate(over="ignore"):
+                mean_power = budgets / period
+            seg = np.searchsorted(table.inner, mean_power, side="right")
             left, right = hull[seg], hull[seg + 1]
             t_right = self.split(budgets, period, left, right)
         below = _below_floor(budgets, period, self.power[self.off])
@@ -452,7 +437,7 @@ def static_dp_allocation(
     checks them.
     """
     catalog = Catalog((dp,), off_power)
-    _check_inputs(period, alpha, catalog, lambda: _bad_budget(budget))
+    _check_inputs(period, alpha, catalog, lambda: _check_budget(budget))
     modes = catalog._modes
     budgets = np.array([budget])
     infeasible = _below_floor(budgets, period, off_power)

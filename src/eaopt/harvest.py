@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import read_table, write_table
+from ._tolerance import COUNT_SLACK
 
 IRRADIANCE = "irradiance"
 BUDGET = "budget"
@@ -212,7 +213,7 @@ def trace_to_budgets(
         if trace.mode == IRRADIANCE:
             last_hold = float(times[-1]) - float(times[-2]) if len(times) > 1 else period_length
             end = float(times[-1]) + last_hold
-            n = max(1, math.ceil((end - t0) / period_length - 1e-9))
+            n = max(1, math.ceil((end - t0) / period_length - COUNT_SLACK))
         else:
             # The floor is off by at most one, so one start past it is enough.
             n = int((float(times[-1]) - t0) // period_length) + 2
@@ -271,8 +272,19 @@ def synth_trace(
     return HarvestTrace(hours * 3600.0, values, IRRADIANCE)
 
 
+def _check_budget(budget) -> None:
+    """Raise ValueError unless budget is finite and >= 0."""
+    if not (math.isfinite(budget) and budget >= 0):
+        raise ValueError(f"budget {np.asarray(budget).item()!r} must be finite and >= 0")
+
+
 def _check_series(starts: np.ndarray, budgets: np.ndarray) -> None:
-    """Raise ValueError unless there is one finite start per budget."""
+    """Raise ValueError unless every budget is finite and >= 0 and there
+    is one finite start per budget, naming the first bad budget, then a
+    length mismatch, then the first bad start."""
+    bad = ~(np.isfinite(budgets) & (budgets >= 0))
+    if bad.any():
+        _check_budget(budgets[bad.argmax()])
     if starts.shape != budgets.shape:
         raise ValueError(f"budget series has {starts.size} starts for {budgets.size} budgets")
     bad = ~np.isfinite(starts)

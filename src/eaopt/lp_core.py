@@ -9,7 +9,9 @@ Solves
 on a classic tableau: constraint rows first, objective row last, right-hand
 side column last.  Inequality rows receive slack variables; equality rows
 receive artificial variables that a phase-1 solve drives to zero, which
-doubles as the infeasibility check.  The entering rule is the largest
+doubles as the infeasibility check: the LP is infeasible when the
+artificials keep more than FLOOR_RTOL of their starting sum, the
+allocator's keep-alive floor rule (see _tolerance).  The entering rule is the largest
 positive reduced cost with lowest-index tie-breaking, the leaving rule is
 the minimum-ratio test with lowest-row tie-breaking, and after a long run
 of degenerate pivots the solver falls back to Bland's rule so degenerate
@@ -23,6 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerance import (
+    DEGENERATE_TOL,
+    DUST_ATOL,
+    FLOOR_RTOL,
+    PIVOT_TOL,
+    RATIO_TOL,
+    REDUCED_COST_TOL,
+    TIE_RTOL,
+)
+
 LE = "le"
 EQ = "eq"
 
@@ -30,19 +42,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
-
-# Objective-row entries at or below this are treated as non-improving.
-# Phase 2 prices on c / max|c|, so there the test is relative.
-REDUCED_COST_TOL = 1e-12
-# Column entries must exceed this to join the ratio test.
-RATIO_TOL = 1e-9
-# A pivot element this small is numerically unusable.
-PIVOT_TOL = 1e-12
-# Feasibility slack: absolute plus relative on the constraint scale.
-FEAS_ABS = 1e-12
-FEAS_REL = 1e-9
-# Objective gains below this count as degenerate steps for the cycling guard.
-DEGENERATE_TOL = 1e-12
 
 
 @dataclass
@@ -166,7 +165,7 @@ def add_slacks(lp: StandardFormLP) -> Tableau:
 
 
 def find_pivot_col(tableau: Tableau, bland: bool = False):
-    """Entering column, or None when every reduced cost is <= 1e-12.
+    """Entering column, or None when every reduced cost is <= REDUCED_COST_TOL.
 
     Default rule: largest positive objective-row entry, ties to the lowest
     column index.  Bland mode: lowest-index positive entry.  Artificial
@@ -196,7 +195,7 @@ def find_pivot_row(tableau: Tableau, col: int, bland: bool = False):
     ratios = np.full(column.shape, np.inf)
     ratios[eligible] = rhs[eligible] / column[eligible]
     best = float(np.min(ratios))
-    ties = np.nonzero(ratios <= best + FEAS_ABS + FEAS_REL * abs(best))[0]
+    ties = np.nonzero(ratios <= best + TIE_RTOL * abs(best))[0]
     if bland:
         return int(min(ties, key=lambda i: tableau.basis[i]))
     return int(ties[0])
@@ -216,7 +215,7 @@ def pivot(tableau: Tableau, row: int, col: int) -> Tableau:
     matrix[row, col] = 1.0
     tableau.basis[row] = col
     rhs = matrix[:-1, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # fp dust; real negatives are bugs
+    rhs[(rhs < 0.0) & (rhs > -DUST_ATOL)] = 0.0  # fp dust; real negatives are bugs
     return tableau
 
 
@@ -300,14 +299,15 @@ def solve_lp(lp: StandardFormLP, max_iterations=None, pivot_log=None) -> LPSolut
     tableau = add_slacks(lp)
     if tableau.art_start < tableau.n_cols:
         _install_phase1_objective(tableau)
+        # The phase-1 objective starts at the summed rhs of the artificial rows.
+        start = float(tableau.matrix[-1, -1])
         status = _run_phase(tableau, max_iterations, pivot_log, phase=1)
         if status == ITERATION_LIMIT:
             # Ran out of pivots before reaching feasibility: no iterate to report.
             return LPSolution(ITERATION_LIMIT, None, float("nan"), tableau.iterations)
         if status == UNBOUNDED:
             raise ArithmeticError("phase-1 objective reported unbounded; numerical breakdown")
-        scale = max(1.0, max(abs(rhs) for _, _, rhs in lp.constraints))
-        if float(tableau.matrix[-1, -1]) > FEAS_ABS + FEAS_REL * scale:
+        if float(tableau.matrix[-1, -1]) > FLOOR_RTOL * start:
             return LPSolution(INFEASIBLE, None, float("nan"), tableau.iterations)
         _drive_out_artificials(tableau)
     # Price on c / max|c|, so the reduced-cost and degeneracy tests are

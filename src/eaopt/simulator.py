@@ -28,7 +28,8 @@ from operator import attrgetter
 import numpy as np
 
 from ._table import float_words, write_table
-from .allocator import Allocation, _allocations, _check_inputs, _first_bad_budget
+from ._tolerance import COUNT_SLACK
+from .allocator import Allocation, _allocations, _check_inputs
 from .catalog import Catalog
 from .harvest import BudgetSeries, _check_series
 from .lp_core import INFEASIBLE, OPTIMAL
@@ -173,11 +174,10 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
     column = np.asarray(budgets.budgets, dtype=float)
-    _check_inputs(period_length, alpha, catalog, lambda: _first_bad_budget(column))
     # Copies of starts and budgets, so that records built later do not see
     # the caller's edits.
     starts = np.array(budgets.starts, dtype=float)
-    _check_series(starts, column)
+    _check_inputs(period_length, alpha, catalog, lambda: _check_series(starts, column))
     modes = catalog._modes
     seconds, readings, infeasible = modes.solve(alpha, period_length, column)
     static_t, static_readings = modes.baselines(modes.curve(alpha).utility, period_length,
@@ -228,7 +228,7 @@ def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
     if stop < start:
         raise ValueError(f"{spec}: stop must be >= start")
     try:
-        points = math.floor((stop - start) / step + 1e-9) + 1
+        points = math.floor((stop - start) / step + COUNT_SLACK) + 1
     except OverflowError:  # the quotient overflowed to inf
         points = math.inf
     if points > _MAX_GRID_POINTS:

@@ -155,15 +155,16 @@ def degenerate_cases(draw):
     return catalog, period, budgets, alpha
 
 
-# The north star's scales: microwatt to watt powers, periods from 1 s.
+# The north star's scales: microwatt to watt powers, and any period
+# length, from 1 ms to more than a day.
 _WIDE_POWER = st.one_of(st.sampled_from([1e-6, 1e-3, 1.0]), st.floats(1e-6, 1.0))
-_WIDE_PERIOD = st.one_of(st.sampled_from([1.0, 3600.0, 1e5]), st.floats(1.0, 1e5))
+_WIDE_PERIOD = st.one_of(st.sampled_from([1e-3, 1.0, 3600.0, 1e5]), st.floats(1e-3, 1e5))
 
 
 @st.composite
 def every_scale_cases(draw):
     """(catalog, period, budgets, alpha) with powers from 1 uW to 1 W,
-    periods from 1 s to 1e5 s, power and accuracy ties, exact twins and
+    periods from 1 ms to 1e5 s, power and accuracy ties, exact twins and
     off_power = 0.  The budgets are 0 and -0.0, the keep-alive floor and
     1e-8 either side of it, each design point's saturation budget, 1e308,
     and a few between the floor and past the top saturation budget."""
@@ -198,7 +199,9 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     off column would carry off_power / max power, which can fall below
     HiGHS's small_matrix_value (1e-9); HiGHS drops such entries, and with
     the floor uncharged it would run design points on a budget that only
-    covers the floor."""
+    covers the floor.  Every budget-row coefficient is at most 1 and the
+    shares sum to at most 1, so the row's bound is capped at 1, which also
+    keeps a mean power that overflows to inf (1e308 J over 1 ms) finite."""
     from scipy.optimize import linprog
 
     accuracy = np.array([dp.accuracy for dp in catalog])
@@ -211,7 +214,7 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     res = linprog(
         -utility / scale,
         A_ub=[(power - catalog.off_power) / p_ref, np.ones(power.size)],
-        b_ub=[(budget / period - catalog.off_power) / p_ref, 1.0],
+        b_ub=[min((budget / period - catalog.off_power) / p_ref, 1.0), 1.0],
         bounds=(0.0, None),
         method="highs",
     )

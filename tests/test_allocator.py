@@ -379,6 +379,25 @@ class TestSmallUtilityReproducers:
         assert value == pytest.approx(1.8889394277220377e-09, rel=1e-12)
 
 
+def _matches_oracle_and_highs(case) -> None:
+    """optimize_allocation's objective matches envelope_oracle and HiGHS,
+    and its schedule fills the period with at most two modes running."""
+    pytest.importorskip("scipy.optimize")
+    catalog, period, budgets, alpha = case
+    scale = max(dp.accuracy for dp in catalog) ** alpha
+    for budget in budgets:
+        prob = AllocationProblem(period, budget, alpha, catalog)
+        allocation = optimize_allocation(prob)
+        assert abs(allocation.objective - envelope_oracle(prob)) <= 1e-12 * scale
+        highs = highs_objective(catalog, period, budget, alpha)
+        assert abs(allocation.objective - highs) <= 1e-6 * scale
+        assert sum(allocation.times) + allocation.off_time == pytest.approx(
+            period, rel=1e-12
+        )
+        assert min(allocation.times) >= 0.0 and allocation.off_time >= 0.0
+        assert sum(1 for t in allocation.times if t > 0.0) <= 2
+
+
 class TestEngineProperties:
     @settings(max_examples=300, deadline=None)
     @given(case=degenerate_cases())
@@ -398,20 +417,12 @@ class TestEngineProperties:
         )
     )
     def test_matches_oracle_and_highs(self, case):
-        pytest.importorskip("scipy.optimize")
-        catalog, period, budgets, alpha = case
-        scale = max(dp.accuracy for dp in catalog) ** alpha
-        for budget in budgets:
-            prob = AllocationProblem(period, budget, alpha, catalog)
-            allocation = optimize_allocation(prob)
-            assert abs(allocation.objective - envelope_oracle(prob)) <= 1e-12 * scale
-            highs = highs_objective(catalog, period, budget, alpha)
-            assert abs(allocation.objective - highs) <= 1e-6 * scale
-            assert sum(allocation.times) + allocation.off_time == pytest.approx(
-                period, rel=1e-12
-            )
-            assert min(allocation.times) >= 0.0 and allocation.off_time >= 0.0
-            assert sum(1 for t in allocation.times if t > 0.0) <= 2
+        _matches_oracle_and_highs(case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=every_scale_cases())
+    def test_matches_oracle_and_highs_at_every_scale(self, case):
+        _matches_oracle_and_highs(case)
 
     @settings(max_examples=200, deadline=None)
     @given(case=degenerate_cases())
@@ -433,12 +444,21 @@ class TestEngineProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(case=every_scale_cases())
+    @example(  # a 1 ms period: 1e308 J overflows to an inf mean power
+        case=(Catalog((DesignPoint(1, "P1", 0.05, 1e-6),), 0.0), 0.001, [0.0, 1e-9, 1e308], 0.0)
+    )
+    @example(  # every utility underflows to 0: the all-off branch
+        case=(Catalog((DesignPoint(1, "P1", 1e-6, 1e-3), DesignPoint(2, "P2", 2e-6, 2e-3)), 1e-4),
+              3600.0, [0.0, 0.36, 100.0], 64.0)
+    )
     def test_decision_is_bit_identical_to_the_array_solve(self, case):
         """optimize_allocation reads one budget off the segment table in
         Python floats; _Modes.solve reads a whole array of them.  Both
         are the one closed form, so they agree to the bit."""
         catalog, period, budgets, alpha = case
         seconds, readings, below = catalog._modes.solve(alpha, period, np.array(budgets))
+        if catalog._modes.curve(alpha).hull.size == 1:  # nothing is worth running
+            assert seconds[:, :-1].tolist() == [[0.0] * len(catalog)] * len(budgets)
         for k, budget in enumerate(budgets):
             allocation = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
             assert _float_bits(_floats(allocation)) == _float_bits(

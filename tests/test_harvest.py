@@ -355,8 +355,12 @@ class TestBudgetSeriesCSV:
     @pytest.mark.parametrize(
         "starts, budgets, message",
         [([0.0], [1.0, 5.0, 7.0], "budget series has 1 starts for 3 budgets"),
-         ([0.0, float("nan"), float("inf")], [5.0, 5.0, 5.0], "start nan must be finite")],
-        ids=["length-mismatch", "nan-start"],
+         ([0.0, float("nan"), float("inf")], [5.0, 5.0, 5.0], "start nan must be finite"),
+         # Budgets load_trace would reject, with simulate's message.
+         ([0.0, 1.0, 2.0], [5.0, float("inf"), 5.0], "budget inf must be finite and >= 0"),
+         ([0.0, 1.0, 2.0], [5.0, float("nan"), -1.0], "budget nan must be finite and >= 0"),
+         ([0.0, 1.0, 2.0], [-1.0, 5.0, 5.0], "budget -1.0 must be finite and >= 0")],
+        ids=["length-mismatch", "nan-start", "inf-budget", "nan-budget", "negative-budget"],
     )
     def test_malformed_series_rejected(self, starts, budgets, message):
         series = BudgetSeries(HOUR, np.array(starts), np.array(budgets))

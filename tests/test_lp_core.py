@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaopt._tolerance import FLOOR_RTOL
+from eaopt.allocator import AllocationProblem, build_problem, optimize_allocation
+from eaopt.catalog import Catalog, DesignPoint
 from eaopt.lp_core import (
     EQ,
     INFEASIBLE,
@@ -202,3 +205,25 @@ class TestAgainstBruteForce:
             else:
                 assert lhs == pytest.approx(rhs, abs=1e-7)
         assert solution.objective >= float(objective @ feasible_point) - 1e-7
+
+
+class TestFeasibilityAgreesWithTheAllocator:
+    """The simplex's phase-1 verdict and the allocator's keep-alive floor
+    are one rule, relative to the floor, so they agree at any period
+    length, sub-second ones included, and a feasible simplex schedule
+    never spends more than the budget allows."""
+
+    @pytest.mark.parametrize("period", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("off_power", [1e-6, 1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("shift", [-1e-6, -1e-8, 0.0, 1e-8])
+    def test_same_status_as_the_allocator(self, period, off_power, shift):
+        catalog = Catalog((DesignPoint(1, "A", 0.5, 1.0), DesignPoint(2, "B", 0.9, 2.0)),
+                          off_power)
+        budget = off_power * period * (1.0 + shift)
+        problem = AllocationProblem(period, budget, 1.0, catalog)
+        solution = solve_lp(build_problem(problem))
+        assert solution.status == optimize_allocation(problem).status
+        assert solution.status == (INFEASIBLE if shift < 0 else OPTIMAL)
+        if solution.status == OPTIMAL:
+            powers = np.array([dp.power for dp in catalog] + [off_power])
+            assert float(powers @ solution.values) <= budget * (1.0 + FLOOR_RTOL)
