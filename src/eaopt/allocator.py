@@ -16,7 +16,7 @@ envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
 evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
 vertex alone once the budget covers its power.  Every schedule here is
-one closed form, _Modes.split: mode right runs for
+one closed form, _split: mode right runs for
 t_right = clip((budget - p_left T) / (p_right - p_left), 0, T) seconds
 and mode left for the rest.  The optimum takes (left, right) to be the
 envelope segment around budget/T, and the static baseline of design
@@ -25,17 +25,16 @@ once, and share one keep-alive floor mask.  regime_map reads the budgets
 where the optimal mix changes off the same envelope.
 
 Nothing that depends only on (catalog, alpha) is redone per decision.
-Each Catalog keeps, in cached properties, its validation result and one
-_Modes table: the read-only accuracy, power and active arrays.  The
-table keeps one _Segments table for each of _ALPHA_MEMO alpha values in
-a functools.lru_cache, dropping the least recently used when it is
-full: the utilities, the envelope and its inner vertex powers, as
-read-only arrays and again as tuples.  simulate solves its budgets with
-_Modes.solve on the arrays.  optimize_allocation is one decision: one
-bisect of the inner vertex powers, then the same closed form on the
-tuples' Python floats, in the same order of operations, so that it
-gives the same bits as solve() on that one budget.  regime_map reads
-the envelope from the same table.
+Each Catalog keeps, in cached properties, its validation result and a
+functools.lru_cache of _segments over its design points: one immutable
+segment table of tuples (the envelope, its inner vertex powers and the
+utility, accuracy, active and power rows) for each of the _ALPHA_MEMO
+most recently used alpha values.  optimize_allocation is one decision,
+_decide: one bisect of the inner vertex powers, then the closed form on
+the table's Python floats.  simulate solves all its budgets with _solve
+and _baselines, which make numpy arrays of the same table once per call
+and run the same operations in the same order, so that both give the
+same bits for one budget.  regime_map reads the same table.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -52,7 +51,6 @@ read none of these caches.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +61,8 @@ from .catalog import Catalog, DesignPoint
 from .harvest import _check_budget
 from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
 
-# How many alpha values a _Modes table keeps the utilities and envelope
-# of; the least recently used is dropped to make room for a new one.
+# How many alpha values' segment tables a catalog keeps; the least
+# recently used is dropped to make room for a new one.
 _ALPHA_MEMO = 64
 
 
@@ -131,182 +129,153 @@ def _below_floor(budget, period: float, off_power: float):
     return budget < floor * (1.0 - FLOOR_RTOL)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class _Segments:
     """The envelope of one (catalog, alpha) as a segment table: segment k
     mixes vertices hull[k] and hull[k + 1], and a mean power budget/T
     falls on the segment that bisecting the inner vertex powers gives.
-    The arrays are read-only and serve the array solve; the tuples hold
-    the same numbers as Python ints and floats for the scalar reader."""
+    Every field is a tuple of Python ints or floats, so a table cannot
+    change once built."""
 
-    utility: np.ndarray  # (N+1,) accuracy**alpha per mode, off last
-    hull: np.ndarray  # mode of each envelope vertex, cheapest first, off first
-    inner: np.ndarray  # power of each vertex but the first and the last
-    hull_modes: tuple[int, ...]
-    inner_powers: tuple[float, ...]
-    weights: tuple[tuple[float, ...], ...]  # rows utility, accuracy, active, power
+    hull: tuple[int, ...]  # mode of each envelope vertex, cheapest first, off first
+    inner: tuple[float, ...]  # power of each vertex but the first and the last
+    weights: tuple[tuple[float, ...], ...]  # rows utility, accuracy, active, power; off last
 
 
-class _Modes:
-    """A catalog as read-only arrays: its design points, then the off
-    state.  Catalog._modes holds one per catalog, shared by every
-    decision on it."""
+def _segments(design_points: tuple[DesignPoint, ...], off_power: float, alpha: float) -> _Segments:
+    """The segment table of the design points and the off state at alpha.
+    Catalog._segments keeps it for the _ALPHA_MEMO most recently used
+    alpha values."""
+    accuracy = np.array([dp.accuracy for dp in design_points] + [0.0])
+    power = np.array([dp.power for dp in design_points] + [off_power])
+    utility = accuracy ** float(alpha)  # the cache gives 1 and 1.0 one key
+    utility[-1] = 0.0  # 0.0**0 is 1
+    active = np.array([1.0] * len(design_points) + [0.0])
+    weights = tuple(tuple(row.tolist()) for row in (utility, accuracy, active, power))
+    hull = _envelope(power, utility)
+    return _Segments(hull, tuple(weights[3][k] for k in hull[1:-1]), weights)
 
-    def __init__(self, catalog: Catalog):
-        dps = catalog.design_points
-        self.off = len(dps)
-        self.accuracy = _read_only(np.array([dp.accuracy for dp in dps] + [0.0]))
-        self.power = _read_only(np.array([dp.power for dp in dps] + [catalog.off_power]))
-        active = np.ones(self.off + 1)
-        active[self.off] = 0.0
-        self.active = _read_only(active)
 
-    def utility(self, alpha: float) -> np.ndarray:
-        utility = self.accuracy**alpha
-        utility[self.off] = 0.0  # 0.0**0 is 1
-        return utility
+def _envelope(power: np.ndarray, utility: np.ndarray) -> tuple[int, ...]:
+    """Modes on the rising upper concave envelope of (power, utility),
+    cheapest first; the off state, the cheapest mode, is always the first."""
+    # Modes of equal power stay in catalog order.  Of those, the first
+    # with the highest utility survives the filter or the chain below.
+    order = np.argsort(power, kind="stable")
+    # A mode that does not raise the best utility of the cheaper ones
+    # is never optimal.  The survivors rise in utility.
+    ranked = utility[order]
+    rises = np.empty(order.size, dtype=bool)
+    rises[0] = True
+    np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=rises[1:])
+    kept = order[rises].tolist()
+    px, uy = power[kept].tolist(), utility[kept].tolist()
+    hull: list[int] = []  # Andrew's monotone chain, upper half
+    for k in range(len(kept)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (px[a] - px[o]) * (uy[k] - uy[o]) - (uy[a] - uy[o]) * (px[k] - px[o])
+            if cross < 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return tuple(kept[k] for k in hull)
 
-    @functools.cached_property
-    def curve(self):
-        """_curve, kept for the _ALPHA_MEMO most recently used alpha
-        values.  Built on first use: a table that static_dp_allocation
-        makes for one call never needs it."""
-        return functools.lru_cache(_ALPHA_MEMO)(self._curve)
 
-    @functools.cached_property
-    def _rows(self) -> tuple[tuple[float, ...], ...]:
-        """The accuracy, active and power rows as tuples, shared by the
-        tables of every alpha."""
-        return tuple(tuple(row.tolist()) for row in (self.accuracy, self.active, self.power))
+def _split(power: np.ndarray, budgets: np.ndarray, period: float, left, right) -> np.ndarray:
+    """Seconds on mode right of the schedules that mix modes left and
+    right to spend each budget: t_right = (budget - p_left T) /
+    (p_right - p_left), clipped to [0, T]; mode left runs the rest.  A
+    quotient that overflows to inf clips to T."""
+    p_left = power[left]
+    with np.errstate(over="ignore"):
+        t_right = (budgets - p_left * period) / (power[right] - p_left)
+    return np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
 
-    def _curve(self, alpha: float) -> _Segments:
-        """The segment table at alpha."""
-        utility = _read_only(self.utility(float(alpha)))  # 1 and 1.0 share one key
-        hull = _read_only(self.envelope(utility))
-        inner = _read_only(self.power[hull[1:-1]])
-        return _Segments(utility, hull, inner, tuple(hull.tolist()), tuple(inner.tolist()),
-                         (tuple(utility.tolist()), *self._rows))
 
-    def envelope(self, utility: np.ndarray) -> np.ndarray:
-        """Modes on the rising upper concave envelope of (power, utility),
-        cheapest first; the off state is always the first."""
-        power = self.power
-        # Modes of equal power stay in catalog order.  Of those, the first
-        # with the highest utility survives the filter or the chain below.
-        order = np.argsort(power, kind="stable")
-        # A mode that does not raise the best utility of the cheaper ones
-        # is never optimal.  The survivors rise in utility.
-        ranked = utility[order]
-        rises = np.empty(order.size, dtype=bool)
-        rises[0] = True
-        np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=rises[1:])
-        kept = order[rises].tolist()
-        px, uy = power[kept].tolist(), utility[kept].tolist()
-        hull: list[int] = []  # Andrew's monotone chain, upper half
-        for k in range(len(kept)):
-            while len(hull) >= 2:
-                o, a = hull[-2], hull[-1]
-                cross = (px[a] - px[o]) * (uy[k] - uy[o]) - (uy[a] - uy[o]) * (px[k] - px[o])
-                if cross < 0:
-                    break
-                hull.pop()
-            hull.append(k)
-        return np.array([kept[k] for k in hull])
+def _readings(weight: np.ndarray, left, right, t_right, period: float) -> np.ndarray:
+    """Rows objective, expected_accuracy, active_fraction and
+    energy_used of each schedule that runs mode left for T - t_right
+    seconds and mode right for t_right: one expression over the (4, N+1)
+    weight rows of a table.  The arrays broadcast to one shape, one entry
+    per schedule.  Only the two mixed modes take part, so a reading does
+    not depend on how many schedules are solved together."""
+    readings = weight[..., left] * (period - t_right) + weight[..., right] * t_right
+    readings[:3] /= period
+    return readings
 
-    def split(self, budgets: np.ndarray, period: float, left, right) -> np.ndarray:
-        """Seconds on mode right of the schedules that mix modes left and
-        right to spend each budget: t_right = (budget - p_left T) /
-        (p_right - p_left), clipped to [0, T]; mode left runs the rest.  A
-        quotient that overflows to inf clips to T."""
-        p_left = self.power[left]
+
+def _solve(table: _Segments, period: float, budgets: np.ndarray):
+    """The optimal schedules, one per budget: (P, N+1) seconds per mode,
+    off last, their (4, P) readings, and the (P,) mask of budgets below
+    the keep-alive floor, which stay off.  The mean power budget/period
+    falls on one envelope segment (left, right), which _split shares out."""
+    weight = np.array(table.weights)
+    power = weight[3]
+    off = power.size - 1
+    if len(table.hull) == 1:  # every utility is 0: stay off
+        left, right = np.full((2, budgets.size), off)
+        t_right = np.zeros(budgets.size)
+    else:
+        # Searching the inner vertices gives the segment index; budgets
+        # past either end fall on the end segments and clip there.  A
+        # mean power that overflows to inf falls past every vertex.
         with np.errstate(over="ignore"):
-            t_right = (budgets - p_left * period) / (self.power[right] - p_left)
-        return np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
+            mean_power = budgets / period
+        seg = np.searchsorted(table.inner, mean_power, side="right")
+        hull = np.array(table.hull)
+        left, right = hull[seg], hull[seg + 1]
+        t_right = _split(power, budgets, period, left, right)
+    below = _below_floor(budgets, period, power[off])
+    left[below] = off
+    t_right[below] = 0.0
+    rows = np.arange(budgets.size)
+    seconds = np.zeros((budgets.size, off + 1))
+    seconds[rows, left] = period - t_right
+    seconds[rows, right] += t_right
+    return seconds, _readings(weight, left, right, t_right, period), below
 
-    def readings(self, left, right, t_right, utility: np.ndarray, period: float) -> np.ndarray:
-        """Rows objective, expected_accuracy, active_fraction and
-        energy_used of each schedule that runs mode left for T - t_right
-        seconds and mode right for t_right: one expression, with the
-        weight swapped.  The arrays broadcast to one shape, one entry per
-        schedule.  Only the two mixed modes take part, so a reading does
-        not depend on how many schedules are solved together."""
-        weight = np.array((utility, self.accuracy, self.active, self.power))
-        readings = weight[..., left] * (period - t_right) + weight[..., right] * t_right
-        readings[:3] /= period
-        return readings
 
-    def solve(self, alpha: float, period: float, budgets: np.ndarray):
-        """The optimal schedules, one per budget: (P, N+1) seconds per
-        mode, off last, their (4, P) readings, and the (P,) mask of
-        budgets below the keep-alive floor, which stay off.  The mean
-        power budget/period falls on one envelope segment (left, right),
-        which split() shares out."""
-        table = self.curve(alpha)
-        hull = table.hull
-        if hull.size == 1:  # every utility is 0: stay off
-            left, right = np.full((2, budgets.size), self.off)
-            t_right = np.zeros(budgets.size)
-        else:
-            # Searching the inner vertices gives the segment index; budgets
-            # past either end fall on the end segments and clip there.  A
-            # mean power that overflows to inf falls past every vertex.
-            with np.errstate(over="ignore"):
-                mean_power = budgets / period
-            seg = np.searchsorted(table.inner, mean_power, side="right")
-            left, right = hull[seg], hull[seg + 1]
-            t_right = self.split(budgets, period, left, right)
-        below = _below_floor(budgets, period, self.power[self.off])
-        left[below] = self.off
-        t_right[below] = 0.0
-        rows = np.arange(budgets.size)
-        seconds = np.zeros((budgets.size, self.off + 1))
-        seconds[rows, left] = period - t_right
-        seconds[rows, right] += t_right
-        return seconds, self.readings(left, right, t_right, table.utility, period), below
+def _decide(table: _Segments, period: float, budget: float):
+    """The optimal schedule of one budget, as _solve finds it, by the
+    same operations in the same order on Python floats: its N+1 seconds
+    per mode, off last, its four readings, and whether the budget is
+    below the keep-alive floor."""
+    hull, power = table.hull, table.weights[3]
+    off = len(power) - 1
+    if len(hull) == 1:  # every utility is 0: stay off
+        left = right = off
+        t_right = 0.0
+    else:
+        seg = bisect.bisect_right(table.inner, budget / period)
+        left, right = hull[seg], hull[seg + 1]
+        p_left = power[left]
+        t_right = (budget - p_left * period) / (power[right] - p_left)
+        # 0.0 first: a budget of -0.0 clips to 0.0, as in np.maximum.
+        t_right = min(period, max(0.0, t_right))
+    below = _below_floor(budget, period, power[off])
+    if below:
+        left, t_right = off, 0.0
+    seconds = [0.0] * (off + 1)
+    seconds[left] = period - t_right
+    seconds[right] += t_right
+    objective, accuracy, active, energy = (
+        row[left] * (period - t_right) + row[right] * t_right for row in table.weights
+    )
+    return seconds, (objective / period, accuracy / period, active / period, energy), below
 
-    def decide(self, alpha: float, period: float, budget: float):
-        """The optimal schedule of one budget, as solve() finds it, by the
-        same operations in the same order on Python floats: its N+1
-        seconds per mode, off last, its four readings, and whether the
-        budget is below the keep-alive floor."""
-        table = self.curve(alpha)
-        hull, power = table.hull_modes, table.weights[3]
-        if len(hull) == 1:  # every utility is 0: stay off
-            left = right = self.off
-            t_right = 0.0
-        else:
-            seg = bisect.bisect_right(table.inner_powers, budget / period)
-            left, right = hull[seg], hull[seg + 1]
-            p_left = power[left]
-            t_right = (budget - p_left * period) / (power[right] - p_left)
-            # 0.0 first: a budget of -0.0 clips to 0.0, as in np.maximum.
-            t_right = min(period, max(0.0, t_right))
-        below = _below_floor(budget, period, power[self.off])
-        if below:
-            left, t_right = self.off, 0.0
-        seconds = [0.0] * (self.off + 1)
-        seconds[left] = period - t_right
-        seconds[right] += t_right
-        objective, accuracy, active, energy = (
-            row[left] * (period - t_right) + row[right] * t_right for row in table.weights
-        )
-        return seconds, (objective / period, accuracy / period, active / period, energy), below
 
-    def baselines(self, utility: np.ndarray, period: float, budgets: np.ndarray,
-                  below: np.ndarray):
-        """The static schedules: (P, N) seconds on each design point, off
-        for the rest of the period, and their (4, P, N) readings.  Design
-        point k is split() on the segment (off, k); budgets flagged in
-        below, the keep-alive floor mask, stay off."""
-        off, dps = np.full((1, 1), self.off), np.arange(self.off)[None, :]
-        t = self.split(budgets[:, None], period, off, dps)
-        t[below] = 0.0
-        return t, self.readings(off, dps, t, utility, period)
+def _baselines(table: _Segments, period: float, budgets: np.ndarray, below: np.ndarray):
+    """The static schedules: (P, N) seconds on each design point, off for
+    the rest of the period, and their (4, P, N) readings.  Design point k
+    is _split on the segment (off, k); budgets flagged in below, the
+    keep-alive floor mask, stay off."""
+    weight = np.array(table.weights)
+    n = weight.shape[1] - 1
+    off, dps = np.full((1, 1), n), np.arange(n)[None, :]
+    t = _split(weight[3], budgets[:, None], period, off, dps)
+    t[below] = 0.0
+    return t, _readings(weight, off, dps, t, period)
 
 
 def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
@@ -342,8 +311,8 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
     catalog = problem.catalog
-    seconds, readings, below = catalog._modes.decide(
-        problem.alpha, float(problem.period), float(problem.budget))
+    seconds, readings, below = _decide(
+        catalog._segments(problem.alpha), float(problem.period), float(problem.budget))
     return Allocation(catalog.ids, tuple(seconds[:-1]), seconds[-1], *readings,
                       INFEASIBLE if below else OPTIMAL)
 
@@ -361,12 +330,11 @@ def regime_map(
     is feasible.
     """
     _check_inputs(period, alpha, catalog)
-    modes = catalog._modes
-    table = modes.curve(alpha)
-    hull = table.hull_modes
+    table = catalog._segments(alpha)
+    hull, power, period = table.hull, table.weights[3], float(period)
     ids = (*catalog.ids, None)
     mixes = [(ids[left], ids[right]) for left, right in zip(hull, hull[1:])]
-    return list(zip((modes.power[table.hull] * period).tolist(), [*mixes, (ids[hull[-1]],)]))
+    return list(zip([power[k] * period for k in hull], [*mixes, (ids[hull[-1]],)]))
 
 
 def envelope_oracle(problem: AllocationProblem) -> float:
@@ -438,8 +406,7 @@ def static_dp_allocation(
     """
     catalog = Catalog((dp,), off_power)
     _check_inputs(period, alpha, catalog, lambda: _check_budget(budget))
-    modes = catalog._modes
     budgets = np.array([budget])
     infeasible = _below_floor(budgets, period, off_power)
-    t, readings = modes.baselines(modes.utility(alpha), period, budgets, infeasible)
+    t, readings = _baselines(_segments((dp,), off_power, alpha), period, budgets, infeasible)
     return _allocations((dp.id,), t, period - t[:, 0], readings[:, :, 0], infeasible)[0]

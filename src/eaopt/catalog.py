@@ -21,16 +21,16 @@ accuracy and watt power at 9 significant digits.
 A Catalog is immutable, so what depends on it alone is computed once per
 instance and kept on it by ``functools.cached_property``: the validation
 result (``validate_catalog`` copies it into a new list on each call), the
-``ids`` tuple and the allocator's mode table, which in turn keeps each
-alpha's utilities and envelope.  Equality, hash, repr, pickles and
-copies cover the fields only.
+``ids`` tuple and the allocator's per-alpha segment tables, which hold
+the fields, not the catalog, so a dropped catalog is freed at once.
+Equality, hash, repr, pickles and copies cover the fields only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 from ._table import read_table, write_table
 
@@ -90,11 +90,11 @@ class Catalog:
         return _find_problems(self)
 
     @cached_property
-    def _modes(self):
-        """The allocator's read-only mode table, built once per instance."""
-        from .allocator import _Modes
+    def _segments(self):
+        """The allocator's segment tables of the _ALPHA_MEMO latest alphas."""
+        from .allocator import _ALPHA_MEMO, _segments
 
-        return _Modes(self)
+        return lru_cache(_ALPHA_MEMO)(partial(_segments, self.design_points, self.off_power))
 
 
 def builtin_table1() -> Catalog:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._table import float_words, write_table
 from ._tolerance import COUNT_SLACK
-from .allocator import Allocation, _allocations, _check_inputs
+from .allocator import Allocation, _allocations, _baselines, _check_inputs, _solve
 from .catalog import Catalog
 from .harvest import BudgetSeries, _check_series
 from .lp_core import INFEASIBLE, OPTIMAL
@@ -178,10 +178,9 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     # the caller's edits.
     starts = np.array(budgets.starts, dtype=float)
     _check_inputs(period_length, alpha, catalog, lambda: _check_series(starts, column))
-    modes = catalog._modes
-    seconds, readings, infeasible = modes.solve(alpha, period_length, column)
-    static_t, static_readings = modes.baselines(modes.curve(alpha).utility, period_length,
-                                                column, infeasible)
+    table = catalog._segments(alpha)
+    seconds, readings, infeasible = _solve(table, period_length, column)
+    static_t, static_readings = _baselines(table, period_length, column, infeasible)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length
@@ -197,7 +196,7 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
             dp_id: sum(seconds[:, k].tolist()) / total_time
             for k, dp_id in enumerate(catalog.ids)
         },
-        off_share=sum(seconds[:, modes.off].tolist()) / total_time,
+        off_share=sum(seconds[:, -1].tolist()) / total_time,
         columns=PeriodColumns(
             starts=starts,
             budget=column.copy(),
@@ -286,7 +285,11 @@ def sweep_to_csv(report: SimulationReport, catalog: Catalog) -> str:
 
 
 def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
-    """One row per alpha: each design point's ratio stats; None is blank."""
+    """One row per alpha: each design point's ratio stats; None is blank.
+    catalog must be the sweep's."""
+    for ids in (tuple(pt.ratio_stats) for pt in points):
+        if ids != catalog.ids:
+            raise ValueError(f"catalog design points {catalog.ids} are not the sweep's {ids}")
     cols, fill = ["alpha"], [np.array([pt.alpha for pt in points])]
     for dp in catalog:
         stats = [pt.ratio_stats[dp.id] for pt in points]

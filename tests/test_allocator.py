@@ -3,10 +3,12 @@ reduction identities, and dominance properties."""
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from eaopt.allocator import (
     _ALPHA_MEMO,
     Allocation,
     AllocationProblem,
-    _Modes,
+    _solve,
     build_problem,
     envelope_oracle,
     optimize_allocation,
@@ -28,7 +30,7 @@ from eaopt.allocator import (
 from eaopt.catalog import Catalog, DesignPoint, builtin_table1, validate_catalog
 from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
-from eaopt.simulator import report_to_csv, report_to_json, simulate, sweep_alpha
+from eaopt.simulator import report_to_csv, report_to_json, simulate, sweep_alpha, sweep_budget
 from oracles import degenerate_cases, every_scale_cases, highs_objective, random_catalog
 
 PERIOD = 3600.0
@@ -453,11 +455,12 @@ class TestEngineProperties:
     )
     def test_decision_is_bit_identical_to_the_array_solve(self, case):
         """optimize_allocation reads one budget off the segment table in
-        Python floats; _Modes.solve reads a whole array of them.  Both
-        are the one closed form, so they agree to the bit."""
+        Python floats; _solve reads a whole array of them off the same
+        table.  Both are the one closed form, so they agree to the bit."""
         catalog, period, budgets, alpha = case
-        seconds, readings, below = catalog._modes.solve(alpha, period, np.array(budgets))
-        if catalog._modes.curve(alpha).hull.size == 1:  # nothing is worth running
+        table = catalog._segments(alpha)
+        seconds, readings, below = _solve(table, period, np.array(budgets))
+        if len(table.hull) == 1:  # nothing is worth running
             assert seconds[:, :-1].tolist() == [[0.0] * len(catalog)] * len(budgets)
         for k, budget in enumerate(budgets):
             allocation = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
@@ -560,11 +563,8 @@ def _fresh(catalog: Catalog) -> Catalog:
 
 
 def _table_bits(table) -> list:
-    """Every field of a segment table: arrays as dtype and raw bytes,
-    floats spelled by float.hex."""
+    """Every field of a segment table, floats spelled by float.hex."""
     def bits(value):
-        if isinstance(value, np.ndarray):
-            return value.dtype.str, value.tobytes()
         if isinstance(value, tuple):
             return tuple(map(bits, value))
         return float.hex(value) if isinstance(value, float) else value
@@ -573,8 +573,8 @@ def _table_bits(table) -> list:
 
 
 class TestCatalogCache:
-    """Validation, the mode arrays and each alpha's envelope are computed
-    once per catalog object and shared by every later call on it."""
+    """Validation and each alpha's segment table are computed once per
+    catalog object and shared by every later call on it."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -608,27 +608,49 @@ class TestCatalogCache:
                 regime_map(catalog, 1.0, PERIOD)
             assert str(raised.value) == expected
 
-    def test_cached_arrays_are_read_only(self):
+    def test_cached_tables_are_immutable(self):
         catalog = builtin_table1()
         before = optimize_allocation(problem(5.0, catalog=catalog))
-        modes = catalog._modes
-        table = modes.curve(1.0)
-        for array in (modes.accuracy, modes.power, modes.active,
-                      table.utility, table.hull, table.inner):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
-        # The mirrors are tuples, and hold the arrays' numbers.
-        assert all(type(mirror) is tuple
-                   for mirror in (table.hull_modes, table.inner_powers, table.weights,
-                                  *table.weights))
-        assert table.hull_modes == tuple(table.hull.tolist())
-        assert _float_bits(table.inner_powers) == _float_bits(table.inner.tolist())
-        weights = (table.utility, modes.accuracy, modes.active, modes.power)
-        for mirror, row in zip(table.weights, weights, strict=True):
-            assert _float_bits(mirror) == _float_bits(row.tolist())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            table.hull_modes = ()
+        table = catalog._segments(1.0)
+        fields = dataclasses.fields(table)
+        assert [field.name for field in fields] == ["hull", "inner", "weights"]
+        assert all(type(getattr(table, field.name)) is tuple for field in fields)
+        assert all(type(row) is tuple for row in table.weights)
+        assert all(type(mode) is int for mode in table.hull)
+        assert all(type(value) is float for row in (table.inner, *table.weights) for value in row)
+        for field in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, field.name, ())
         assert optimize_allocation(problem(5.0, catalog=catalog)) == before
+
+    def test_dropped_catalog_is_freed_by_reference_counting(self):
+        """The table cache binds the catalog's fields, not the catalog, so
+        no reference cycle keeps a dropped catalog alive."""
+        catalog = builtin_table1()
+        series = BudgetSeries(PERIOD, np.zeros(1), np.array([5.0]))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            optimize_allocation(problem(5.0, catalog=catalog))
+            simulate(series, catalog, 1.0)
+            regime_map(catalog, 1.0, PERIOD)
+            assert "_segments" in vars(catalog)
+            freed = weakref.ref(catalog)
+            del catalog
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_readers_share_one_table_per_alpha(self):
+        catalog = builtin_table1()
+        series = BudgetSeries(PERIOD, np.zeros(1), np.array([5.0]))
+        optimize_allocation(problem(5.0, catalog=catalog))
+        simulate(series, catalog, 1.0)
+        regime_map(catalog, 1.0, PERIOD)
+        sweep_budget(catalog, 1.0, 1.0, 2.0, 0.5)
+        info = catalog._segments.cache_info()
+        assert info.misses == 1 and info.hits == 3
 
     def test_validate_catalog_returns_a_new_list(self):
         catalog = Catalog((DesignPoint(1, "A", 1.5, 1e-3),), 1e-5)
@@ -648,7 +670,8 @@ class TestCatalogCache:
         before = optimize_allocation(problem(5.0, catalog=catalog))
         copied = clone(catalog)
         assert copied == catalog and hash(copied) == hash(catalog)
-        assert "_modes" not in vars(copied) and "_problems" not in vars(copied)
+        assert "_segments" in vars(catalog)
+        assert "_segments" not in vars(copied) and "_problems" not in vars(copied)
         assert "ids" not in vars(copied) and catalog.ids is catalog.ids
         assert optimize_allocation(problem(5.0, catalog=copied)) == before
 
@@ -657,21 +680,21 @@ class TestCatalogCache:
         series = BudgetSeries(PERIOD, PERIOD * np.arange(3), np.array([0.18, 5.0, 9.0]))
         alphas = np.linspace(0.0, 40.0, 200).tolist()
         points = sweep_alpha(catalog, series, alphas)
-        curve = catalog._modes.curve
-        assert curve.cache_info().currsize == _ALPHA_MEMO
+        tables = catalog._segments
+        assert tables.cache_info().currsize == _ALPHA_MEMO
         # An evicted alpha is rebuilt with the same bits.
         assert simulate(series, catalog, alphas[0]).ratio_stats == points[0].ratio_stats
         assert points[0].ratio_stats == simulate(series, _fresh(catalog), alphas[0]).ratio_stats
-        assert curve.cache_info().currsize == _ALPHA_MEMO
+        assert tables.cache_info().currsize == _ALPHA_MEMO
 
     def test_alpha_memo_drops_the_least_recently_used(self):
-        curve = builtin_table1()._modes.curve
+        tables = builtin_table1()._segments
         alphas = np.linspace(0.0, 40.0, _ALPHA_MEMO + 1).tolist()
-        kept = [curve(alpha) for alpha in alphas[:_ALPHA_MEMO]]
-        assert curve(alphas[0]) is kept[0]  # touched: now the most recent
-        curve(alphas[-1])  # evicts alphas[1], the least recently used
-        assert curve(alphas[0]) is kept[0]
-        rebuilt = curve(alphas[1])
+        kept = [tables(alpha) for alpha in alphas[:_ALPHA_MEMO]]
+        assert tables(alphas[0]) is kept[0]  # touched: now the most recent
+        tables(alphas[-1])  # evicts alphas[1], the least recently used
+        assert tables(alphas[0]) is kept[0]
+        rebuilt = tables(alphas[1])
         assert rebuilt is not kept[1]
         assert _table_bits(rebuilt) == _table_bits(kept[1])
 
@@ -701,7 +724,7 @@ class TestCatalogCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
-        assert catalog._modes.curve.cache_info().currsize == _ALPHA_MEMO
+        assert catalog._segments.cache_info().currsize == _ALPHA_MEMO
 
     def test_second_decision_does_not_validate_again(self, monkeypatch):
         calls = []
@@ -724,16 +747,16 @@ class TestCatalogCache:
         assert len(calls) == 2
 
     def test_cross_checks_do_not_read_the_cache(self):
-        """A stale mode table misleads optimize_allocation, simulate and
+        """A stale table cache misleads optimize_allocation, simulate and
         regime_map only: build_problem, solve_lp, envelope_oracle and
         HiGHS still solve the catalog as it is, so they catch the stale
-        table.  The stale one squares every accuracy, so at alpha = 1 it
-        gives the alpha = 2 answers."""
+        tables.  The stale ones square every accuracy, so at alpha = 1
+        they give the alpha = 2 answers."""
         pytest.importorskip("scipy.optimize")
         catalog = builtin_table1()
         other = Catalog(tuple(DesignPoint(dp.id, dp.label, dp.accuracy**2, dp.power)
                               for dp in catalog), catalog.off_power)
-        catalog.__dict__["_modes"] = _Modes(other)
+        catalog.__dict__["_segments"] = other._segments
         prob = problem(5.0, catalog=catalog)
         squared = optimize_allocation(problem(5.0, alpha=2.0)).objective
         assert optimize_allocation(prob).objective == pytest.approx(squared, rel=1e-12)

@@ -239,6 +239,16 @@ class TestSweeps:
         assert "dp1_ratio_mean" in lines[0] and "dp5_undefined" in lines[0]
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("design_points", [
+        CATALOG.design_points[:3],
+        CATALOG.design_points[::-1],
+        (*CATALOG.design_points[:-1], dataclasses.replace(CATALOG.design_points[-1], id=9)),
+    ], ids=["fewer", "reordered", "foreign"])
+    def test_alpha_sweep_csv_rejects_another_catalog(self, design_points):
+        points = sweep_alpha(CATALOG, constant_series(5.0), [1.0])
+        with pytest.raises(ValueError, match="not the sweep's"):
+            alpha_sweep_to_csv(points, Catalog(design_points, CATALOG.off_power))
+
 
 class TestReportSerialization:
     def test_json_round_trips_and_flags_undefined(self):
