@@ -4,9 +4,10 @@ line equal to the header is skipped wherever it appears.
 
 read_table reads every CSV's metadata and header: a catalog's whole file,
 because it has a string column, and a trace's up to its header.  load_trace
-gives the rest to np.loadtxt, and sends the whole file through the loop only
-where that fast path cannot vouch for the body.  write_table renders every
-CSV the package writes: catalogs, budget traces, reports and sweeps.
+gives the rest to np.loadtxt, straight from the open file when it reads a
+path, and sends the whole file through the loop only where that fast path
+cannot vouch for the body.  write_table renders every CSV the package
+writes: catalogs, budget traces, reports and sweeps.
 
 float_words is the one speller of float arrays for every writer, CSV and
 JSON: it spells each distinct bit pattern once and gathers the words back

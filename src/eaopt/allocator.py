@@ -26,10 +26,11 @@ where the optimal mix changes off the same envelope.
 
 Nothing that depends only on (catalog, alpha) is redone per decision.
 Each Catalog keeps, in cached properties, its validation result and a
-functools.lru_cache of _segments over its design points: one immutable
-segment table of tuples (the envelope, its inner vertex powers and the
-utility, accuracy, active and power rows) for each of the _ALPHA_MEMO
-most recently used alpha values.  optimize_allocation is one decision,
+functools.lru_cache of _segments over its _rows, the accuracy, active and
+power rows built once per catalog: one immutable segment table of tuples
+(the envelope, its inner vertex powers and the utility row beside those
+same three rows) for each of the _ALPHA_MEMO most recently used alpha
+values.  optimize_allocation is one decision,
 _decide: one bisect of the inner vertex powers, then the closed form on
 the table's Python floats.  simulate solves all its budgets with _solve
 and _baselines, which make numpy arrays of the same table once per call
@@ -142,18 +143,27 @@ class _Segments:
     weights: tuple[tuple[float, ...], ...]  # rows utility, accuracy, active, power; off last
 
 
-def _segments(design_points: tuple[DesignPoint, ...], off_power: float, alpha: float) -> _Segments:
-    """The segment table of the design points and the off state at alpha.
-    Catalog._segments keeps it for the _ALPHA_MEMO most recently used
-    alpha values."""
-    accuracy = np.array([dp.accuracy for dp in design_points] + [0.0])
-    power = np.array([dp.power for dp in design_points] + [off_power])
-    utility = accuracy ** float(alpha)  # the cache gives 1 and 1.0 one key
+def _rows(design_points: tuple[DesignPoint, ...], off_power: float):
+    """The accuracy, active and power rows of the design points and the
+    off state, off last: the weights of a segment table that do not
+    depend on alpha.  Catalog._segments builds them once per catalog."""
+    return (
+        tuple(float(dp.accuracy) for dp in design_points) + (0.0,),
+        (1.0,) * len(design_points) + (0.0,),
+        tuple(float(dp.power) for dp in design_points) + (float(off_power),),
+    )
+
+
+def _segments(accuracy: tuple[float, ...], active: tuple[float, ...],
+              power: tuple[float, ...], alpha: float) -> _Segments:
+    """The segment table at alpha of the modes whose _rows are accuracy,
+    active and power.  Catalog._segments keeps it for the _ALPHA_MEMO
+    most recently used alpha values."""
+    utility = np.array(accuracy) ** float(alpha)  # the cache gives 1 and 1.0 one key
     utility[-1] = 0.0  # 0.0**0 is 1
-    active = np.array([1.0] * len(design_points) + [0.0])
-    weights = tuple(tuple(row.tolist()) for row in (utility, accuracy, active, power))
-    hull = _envelope(power, utility)
-    return _Segments(hull, tuple(weights[3][k] for k in hull[1:-1]), weights)
+    hull = _envelope(np.array(power), utility)
+    inner = tuple(power[k] for k in hull[1:-1])
+    return _Segments(hull, inner, (tuple(utility.tolist()), accuracy, active, power))
 
 
 def _envelope(power: np.ndarray, utility: np.ndarray) -> tuple[int, ...]:
@@ -408,5 +418,6 @@ def static_dp_allocation(
     _check_inputs(period, alpha, catalog, lambda: _check_budget(budget))
     budgets = np.array([budget])
     infeasible = _below_floor(budgets, period, off_power)
-    t, readings = _baselines(_segments((dp,), off_power, alpha), period, budgets, infeasible)
+    table = _segments(*_rows((dp,), off_power), alpha)
+    t, readings = _baselines(table, period, budgets, infeasible)
     return _allocations((dp.id,), t, period - t[:, 0], readings[:, :, 0], infeasible)[0]

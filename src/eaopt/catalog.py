@@ -21,8 +21,9 @@ accuracy and watt power at 9 significant digits.
 A Catalog is immutable, so what depends on it alone is computed once per
 instance and kept on it by ``functools.cached_property``: the validation
 result (``validate_catalog`` copies it into a new list on each call), the
-``ids`` tuple and the allocator's per-alpha segment tables, which hold
-the fields, not the catalog, so a dropped catalog is freed at once.
+``ids`` tuple and the allocator's per-alpha segment tables, whose cache
+holds the alpha-free rows of the fields, not the catalog, so a dropped
+catalog is freed at once.
 Equality, hash, repr, pickles and copies cover the fields only.
 """
 
@@ -91,10 +92,11 @@ class Catalog:
 
     @cached_property
     def _segments(self):
-        """The allocator's segment tables of the _ALPHA_MEMO latest alphas."""
-        from .allocator import _ALPHA_MEMO, _segments
+        """The allocator's segment tables of the _ALPHA_MEMO latest alphas,
+        over rows built once."""
+        from .allocator import _ALPHA_MEMO, _rows, _segments
 
-        return lru_cache(_ALPHA_MEMO)(partial(_segments, self.design_points, self.off_power))
+        return lru_cache(_ALPHA_MEMO)(partial(_segments, *_rows(self.design_points, self.off_power)))
 
 
 def builtin_table1() -> Catalog:

@@ -25,9 +25,9 @@ from .catalog import Catalog, CatalogError, builtin_table1, load_catalog, pareto
 from .harvest import BudgetSeries, PanelModel, TraceError, load_trace, synth_trace, trace_to_budgets
 from .lp_core import INFEASIBLE
 from .simulator import (
+    _json_chunks,
     alpha_sweep_to_csv,
     report_to_csv,
-    report_to_json,
     simulate,
     sweep_alpha,
     sweep_budget,
@@ -221,12 +221,13 @@ def _resolve_budgets(config: RunConfig) -> BudgetSeries:
     return trace_to_budgets(trace, panel, config.period)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces, output: str | None) -> None:
+    """Write the pieces of text, in order, to output or to stdout."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def cmd_optimize(config: RunConfig) -> int:
@@ -235,7 +236,7 @@ def cmd_optimize(config: RunConfig) -> int:
     catalog = _resolve_catalog(config)
     problem = AllocationProblem(config.period, config.budget, config.alpha, catalog)
     allocation = optimize_allocation(problem)
-    _emit(json.dumps(allocation.to_dict(), indent=2) + "\n", config.output)
+    _emit([json.dumps(allocation.to_dict(), indent=2) + "\n"], config.output)
     return 2 if allocation.status == INFEASIBLE else 0
 
 
@@ -251,7 +252,7 @@ def cmd_pareto(config: RunConfig) -> int:
         "kept": [row(dp) for dp in kept],
         "removed": [{**row(dp), "dominated_by": dominator.label} for dp, dominator in removed],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", config.output)
+    _emit([json.dumps(payload, indent=2) + "\n"], config.output)
     return 0
 
 
@@ -273,7 +274,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if config.budget_range is not None:
         start, stop, step = _parse_range(config.budget_range)
         report = sweep_budget(catalog, config.alpha, start, stop, step, config.period)
-        _emit(sweep_to_csv(report, catalog), config.output)
+        _emit([sweep_to_csv(report, catalog)], config.output)
         return 0
     if config.alpha_list is None:
         raise UsageError("sweep over a trace requires --alpha-list")
@@ -285,7 +286,7 @@ def cmd_sweep(config: RunConfig) -> int:
         raise UsageError(f"bad alpha list {config.alpha_list!r}")
     budgets = _resolve_budgets(config)
     points = sweep_alpha(catalog, budgets, alphas)
-    _emit(alpha_sweep_to_csv(points, catalog), config.output)
+    _emit([alpha_sweep_to_csv(points, catalog)], config.output)
     return 0
 
 
@@ -294,8 +295,9 @@ def cmd_simulate(config: RunConfig) -> int:
     budgets = _resolve_budgets(config)
     report = simulate(budgets, catalog, config.alpha)
     if config.output is not None:
-        text = report_to_json(report) if config.format == "json" else report_to_csv(report)
-        _emit(text, config.output)
+        # The JSON report is written as it is rendered, a chunk of records at a time.
+        pieces = _json_chunks(report) if config.format == "json" else [report_to_csv(report)]
+        _emit(pieces, config.output)
     lines = [
         f"periods: {len(report)}",
         f"mean expected accuracy: {report.mean_expected_accuracy:.6g}",

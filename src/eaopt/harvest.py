@@ -22,6 +22,12 @@ Trace CSV format::
 
 ``#mode`` is required; ``#units`` is optional but must match the mode
 (W/m2 for irradiance, J for budget) when present.
+
+load_trace reads a path without holding its lines: it counts them on the
+file's bytes, reads up to the header through read_table, and gives the open
+file to np.loadtxt.  A file that np.loadtxt cannot vouch for that way is
+read again as a list of lines, the form file-like objects and lists always
+take.
 """
 
 from __future__ import annotations
@@ -102,43 +108,75 @@ def _read_pairs(source):
     reads the rest.  Its result is kept when it holds one row of two values
     per remaining line, with no error and no no-data warning.  loadtxt
     skips blank lines, so that proves there were none, and row i sits on
-    the header's line plus 1 + i.  Any other file (metadata after the
-    header, an inline '#', a repeated header, a wrong field count, a
+    the header's line plus 1 + i.  A path is parsed from its open handle,
+    so its lines are never held at once.  Any other file (metadata after
+    the header, an inline '#', a repeated header, a wrong field count, a
     spelling such as 1_000 that float() reads and loadtxt does not, a
-    blank line in the body, no rows) goes to the read_table loop, which
-    decides both the values and the error text.
+    blank line in the body, no rows, and for a path any '\\r' or a pipe)
+    goes to the list of its lines, and where loadtxt cannot vouch for that
+    list either, to the read_table loop, which decides both the values and
+    the error text.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
+            if fh.seekable():  # not a pipe
+                fast = _stream_pairs(fh)
+                if fast is not None:
+                    return fast
+                fh.seek(0)
             lines = list(fh)
     else:
         lines = list(source)
-    fast = _loadtxt_pairs(lines)
+    fast = _loadtxt_pairs(iter(lines), len(lines))
     if fast is not None:
         return fast
     meta, rows, row_lines = read_table(lines, TRACE_HEADER, _parse_pair, TraceError)
     return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), row_lines
 
 
-def _loadtxt_pairs(lines: list[str]):
+# Bytes per read when counting a trace file's lines.
+_SCAN_BYTES = 1 << 20
+
+
+def _stream_pairs(fh):
+    """_loadtxt_pairs on an open text file, or None where it cannot vouch.
+    The lines are counted on the bytes, as the newlines plus an
+    unterminated last line.  Text mode also ends a line at a '\\r', so a
+    file with any '\\r' is left to the list path."""
+    total, last = 0, b"\n"
+    while chunk := fh.buffer.read(_SCAN_BYTES):
+        if b"\r" in chunk:
+            return None
+        total += chunk.count(b"\n")
+        last = chunk[-1:]
+    fh.seek(0)
+    return _loadtxt_pairs(fh, total + (last != b"\n"))
+
+
+def _loadtxt_pairs(lines, total: int):
     """_read_pairs through read_table up to the header and np.loadtxt after
-    it, or None where only the read_table loop can tell.  A first data line
-    that is not the header raises read_table's error for that line, as the
-    loop would."""
-    head = next((i for i, raw in enumerate(lines) if raw.strip()[:1] not in ("", "#")), None)
-    if head is None:
+    it, or None where only the read_table loop can tell.  lines is an
+    iterator over the file's total lines; an open file is its own.  A
+    first data line that is not the header raises read_table's error for
+    that line, as the loop would."""
+    head = []
+    for raw in lines:
+        head.append(raw)
+        if raw.strip()[:1] not in ("", "#"):
+            break
+    else:
         return None
-    meta, _, _ = read_table(lines[:head + 1], TRACE_HEADER, _parse_pair, TraceError)
+    meta, _, _ = read_table(head, TRACE_HEADER, _parse_pair, TraceError)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, skiprows=head + 1)
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except (ValueError, UserWarning):
         return None
-    if table.shape != (len(lines) - head - 1, 2):
+    if table.shape != (total - len(head), 2):
         return None
     first, second = table.T.copy()
-    return meta, first, second, range(head + 2, len(lines) + 1)
+    return meta, first, second, range(len(head) + 1, total + 1)
 
 
 def _reject(bad: np.ndarray, lines, message, unit: str = "line") -> None:

@@ -324,9 +324,20 @@ def _record_template(dp_ids: tuple[int, ...], status: str) -> tuple[str, str]:
     return text[:split] + slot, text[split:]
 
 
+# How many period records _json_chunks joins into one chunk.
+_CHUNK_PERIODS = 1024
+
+
 def report_to_json(report: SimulationReport) -> str:
     """Full report: aggregates plus every period record, laid out as
     json.dumps(payload, indent=2) lays them out, rendered from the columns."""
+    return "".join(_json_chunks(report))
+
+
+def _json_chunks(report: SimulationReport):
+    """report_to_json's text in pieces: the aggregates, the records
+    _CHUNK_PERIODS at a time, then the closing brackets, so that a writer
+    never holds the whole text."""
     c = report.columns
     periods = len(c.budget)
     head = {
@@ -353,21 +364,26 @@ def report_to_json(report: SimulationReport) -> str:
         + [c.ratios]
     )
     keys = np.column_stack([floats.view(np.int64), c.infeasible, c.defined])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]
     words = float_words(floats[first], json.dumps)
+    del static_off, floats, keys
     words[:, -n:][~c.defined[first]] = "null"
     record, optimal_tail = _record_template(report.dp_ids, OPTIMAL)
     infeasible_tail = _record_template(report.dp_ids, INFEASIBLE)[1]
     tails = np.array([
         (infeasible_tail if below else optimal_tail) % tuple(row)
         for below, row in zip(c.infeasible[first].tolist(), words.tolist())
-    ], dtype=object)[inverse.reshape(-1)]
+    ], dtype=object)
+    del words
+    inverse = inverse.reshape(-1)
     starts = float_words(c.starts, json.dumps)
-    records = ",\n".join(
-        map(record.__mod__, zip(range(periods), starts.tolist(), tails.tolist()))
-    )
     # json.dumps(head) ends in "\n}": the records go in before that brace.
-    return json.dumps(head, indent=2)[:-2] + ',\n  "records": [\n' + records + "\n  ]\n}\n"
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "records": [\n'
+    for lo in range(0, periods, _CHUNK_PERIODS):
+        hi = min(lo + _CHUNK_PERIODS, periods)
+        rows = zip(range(lo, hi), starts[lo:hi].tolist(), tails[inverse[lo:hi]].tolist())
+        yield (",\n" if lo else "") + ",\n".join(map(record.__mod__, rows))
+    yield "\n  ]\n}\n"
 
 
 def report_to_csv(report: SimulationReport) -> str:

@@ -20,6 +20,7 @@ from eaopt.allocator import (
     _ALPHA_MEMO,
     Allocation,
     AllocationProblem,
+    _segments,
     _solve,
     build_problem,
     envelope_oracle,
@@ -622,6 +623,22 @@ class TestCatalogCache:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(table, field.name, ())
         assert optimize_allocation(problem(5.0, catalog=catalog)) == before
+
+    def test_tables_share_the_rows_alpha_does_not_change(self):
+        """The accuracy, active and power rows are built once per catalog,
+        as tuples the cache's partial binds; every table holds those
+        same objects."""
+        catalog = builtin_table1()
+        bound = catalog._segments.__wrapped__
+        assert bound.func is _segments and not bound.keywords
+        assert bound.args == (
+            tuple(dp.accuracy for dp in catalog) + (0.0,),
+            (1.0,) * len(catalog) + (0.0,),
+            tuple(dp.power for dp in catalog) + (catalog.off_power,),
+        )
+        for alpha in (0.0, 1.0, 2.0):
+            weights = catalog._segments(alpha).weights
+            assert all(row is bound_row for row, bound_row in zip(weights[1:], bound.args))
 
     def test_dropped_catalog_is_freed_by_reference_counting(self):
         """The table cache binds the catalog's fields, not the catalog, so

@@ -3,6 +3,7 @@
 import gc
 import json
 import shlex
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -11,12 +12,14 @@ import pytest
 
 import numpy as np
 
+from eaopt import cli
 from eaopt.catalog import builtin_table1, serialize_catalog
 from eaopt.cli import RunConfig, load_config_file, main, make_config
-from eaopt.harvest import BudgetSeries, budget_series_to_csv
-from eaopt.simulator import report_to_json, simulate
+from eaopt.harvest import BudgetSeries, PanelModel, budget_series_to_csv, synth_trace, trace_to_budgets
+from eaopt.simulator import _CHUNK_PERIODS, report_to_json, simulate
 
 SPLIT_5J = {"4": 1545.4545454545455, "5": 2054.5454545454545}
+HOUR = 3600.0
 
 
 def run(capsys, *argv):
@@ -238,6 +241,44 @@ class TestSimulate:
             lines.append(f"mean ratio vs {label}: {stats.mean:.6g} "
                          f"(defined {stats.defined}, undefined {stats.undefined})")
         assert out == "\n".join(lines) + "\n"
+
+    def test_report_of_several_chunks(self, capsys, tmp_path):
+        """A trace file of more periods than two chunks of records: the
+        report file holds exactly report_to_json of the in-process report."""
+        rng = np.random.default_rng(7)
+        periods = 2 * _CHUNK_PERIODS + 452
+        budgets = np.where(rng.random(periods) < 0.4, 0.0, rng.uniform(0.1, 12.0, periods))
+        series = BudgetSeries(HOUR, HOUR * np.arange(periods), budgets)
+        trace = tmp_path / "series.csv"
+        trace.write_text(budget_series_to_csv(series))
+        report_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "simulate", "--trace", str(trace),
+                             "--format", "json", "--output", str(report_path))
+        assert code == 0 and err == ""
+        assert out.startswith(f"periods: {periods}\n")
+        assert report_path.read_text() == report_to_json(simulate(series, builtin_table1(), 1.0))
+
+    def test_json_report_is_written_in_chunks(self, capsys, tmp_path, monkeypatch):
+        """simulate --output writes the JSON report as it renders it: from
+        the report on, tracemalloc's peak stays below twice its length."""
+        series = trace_to_budgets(synth_trace(365, noise=0.3, seed=1), PanelModel(), HOUR)
+        report = simulate(series, builtin_table1(), 1.0)
+        length = len(report_to_json(report))
+
+        def traced_simulate(*args):
+            tracemalloc.start()
+            return report
+
+        monkeypatch.setattr(cli, "simulate", traced_simulate)
+        path = tmp_path / "report.json"
+        try:
+            code, _, _ = run(capsys, "simulate", "--trace", "synth:1d", "--output", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.stat().st_size == length
+        assert peak < 2 * length
 
     def test_trace_off_the_period_grid(self, capsys, tmp_path):
         trace = tmp_path / "offset.csv"

@@ -1,6 +1,7 @@
 """Trace parsing, budget conversion, and synthetic-trace tests."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ def test_loader_value_check_names_the_line(text, message):
     with pytest.raises(TraceError) as excinfo:
         load_trace(io.StringIO(text))
     assert str(excinfo.value) == message
+
+
+def test_trace_file_is_parsed_without_its_lines(tmp_path):
+    """load_trace on a path of 100k rows never holds the list of its
+    lines: tracemalloc's peak stays below three times the bytes of the
+    arrays it returns (about twice, for loadtxt's table and its copy)."""
+    rng = np.random.default_rng(3)
+    rows = 100_000
+    day = np.arange(rows) % 1440 < 720
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text("irradiance", zip(60 * np.arange(rows), rng.uniform(0, 12, rows) * day)))
+    tracemalloc.start()
+    try:
+        trace = load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.times) == rows
+    assert peak < 3 * (trace.times.nbytes + trace.values.nbytes)
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,26 @@ class TestColumnWriters:
             assert record["ratios"] == {str(i): r for i, r in expected.ratios.items()}
 
 
+class TestJsonChunks:
+    """The JSON report comes out of one chunk generator, _CHUNK_PERIODS
+    records at a time; any chunk size gives report_to_json's bytes."""
+
+    @pytest.mark.parametrize("periods", [1, 1023, 1024, 1025, 2049])
+    def test_chunks_join_to_the_report(self, periods, monkeypatch):
+        rng = np.random.default_rng(periods)
+        budgets = np.where(rng.random(periods) < 0.4, 0.0, rng.uniform(0.1, 12.0, periods))
+        report = simulate(BudgetSeries(HOUR, HOUR * np.arange(periods), budgets), CATALOG, 1.0)
+        text = report_to_json(report)
+        assert text == reference_report_json(report)
+        for size in (1, 2, 1024):
+            monkeypatch.setattr(simulator, "_CHUNK_PERIODS", size)
+            chunks = list(simulator._json_chunks(report))
+            # The head, one chunk per size records, then the closing brackets.
+            assert len(chunks) == 2 + math.ceil(periods / size)
+            assert "".join(chunks) == text
+            assert report_to_json(report) == text
+
+
 def test_overflowed_ratio_is_strict_json():
     catalog, period, budgets, alpha = _SUBNORMAL
     series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))

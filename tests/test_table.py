@@ -1,9 +1,12 @@
 """The shared '#'-metadata CSV reader, through each loader that uses it,
-the np.loadtxt fast path of the trace loader against it, and the float
-speller every writer uses."""
+the np.loadtxt fast path of the trace loader against it, on lists of lines
+and on files, and the float speller every writer uses."""
 
 import io
 import json
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from eaopt.harvest import (
     _loadtxt_pairs,
     _parse_pair,
     _read_pairs,
+    _stream_pairs,
     load_trace,
 )
 
@@ -59,16 +63,24 @@ def loop_pairs(source):
     return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), lines
 
 
-def outcome(read, text):
-    """What read gives for text: its four results with each array as its
-    dtype, shape and bytes (so NaN payloads and -0.0 count), or the
-    TraceError text."""
+def outcome(read, source):
+    """What read gives for source, a text read through io.StringIO or a
+    Path: its four results with each array as its dtype, shape and bytes
+    (so NaN payloads and -0.0 count), or the TraceError text."""
     try:
-        meta, first, second, lines = read(io.StringIO(text))
+        meta, first, second, lines = read(io.StringIO(source) if isinstance(source, str) else source)
     except TraceError as exc:
         return str(exc)
     columns = [(a.dtype.str, a.shape, a.tobytes()) for a in (first, second)]
     return meta, columns, list(lines)
+
+
+def write_trace(directory: Path, text: str) -> Path:
+    """text in a file, written as bytes so that '\\r\\n', a lone '\\r' and a
+    missing last newline reach the disk as they are."""
+    path = directory / "trace.csv"
+    path.write_bytes(text.encode())
+    return path
 
 
 # Field spellings float() and np.loadtxt may read differently, or not at all.
@@ -100,8 +112,11 @@ def pair_csv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text=pair_csv())
-def test_read_pairs_matches_the_line_loop(text):
+def test_read_pairs_matches_the_line_loop(text, tmp_path_factory):
     assert outcome(_read_pairs, text) == outcome(loop_pairs, text)
+    # A path is parsed from its open file, and text mode reads its newlines.
+    path = write_trace(tmp_path_factory.getbasetemp(), text)
+    assert outcome(_read_pairs, path) == outcome(loop_pairs, path)
 
 
 H = "#mode: irradiance\ntimestamp,value\n"
@@ -122,29 +137,83 @@ FALLBACK = {
     "header-only": H,
     "no-header": "#mode: irradiance\n",
     "empty-file": "",
+    # A lone '\r' ends a line in a file, not in a list of lines.
+    "lone-cr": H + "0,1\r60,2\n",
+    "lone-cr-in-head": "#mode: irradiance\rtimestamp,value\n0,1\n",
+    "short-last-row-unterminated": H + "0,1\n60",
+    "header-unterminated": H[:-1],
 }
 FAST = {
     "crlf": H + "0,1\r\n60,2\r\n",
     "no-trailing-newline": H + "0,1\n60,2",
+    "one-row-unterminated": H + "0,1",
     "one-row": H + "0,1\n",
     "padded": "\n" + H + " 0 , 1 \n60,\tnan\n",
 }
 
 
+def fast_path(read, *args):
+    """What a fast path gives: its result, None, or the TraceError text."""
+    try:
+        return read(*args)
+    except TraceError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("name", list(FALLBACK) + list(FAST))
-def test_read_pairs_matches_the_line_loop_on(name):
+def test_read_pairs_matches_the_line_loop_on(name, tmp_path):
     text = {**FALLBACK, **FAST}[name]
     expected = outcome(loop_pairs, text)
     assert outcome(_read_pairs, text) == expected
-    try:
-        fast = _loadtxt_pairs(io.StringIO(text).readlines())
-    except TraceError as exc:
-        fast = str(exc)
+    lines = io.StringIO(text).readlines()
+    fast = fast_path(_loadtxt_pairs, iter(lines), len(lines))
+    path = write_trace(tmp_path, text)
+    expected_from_file = outcome(loop_pairs, path)
+    assert outcome(_read_pairs, path) == expected_from_file
+    with open(path) as fh:
+        streamed = fast_path(_stream_pairs, fh)
     if name in FAST:
         assert isinstance(fast, tuple)
+        # A file with any '\r' is left to the list of its lines.
+        assert isinstance(streamed, tuple) == ("\r" not in text)
     else:
         # None, or the loop's own error for a data line before the header.
         assert fast is None or fast == expected
+        assert streamed is None or streamed == expected_from_file
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_path_is_read_as_its_lines(tmp_path):
+    """A path that cannot seek, such as a named pipe or /dev/stdin, is
+    read once, as the list of its lines."""
+    text = H + "0,1\n60,2\n"
+    pipe = tmp_path / "trace.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        assert outcome(_read_pairs, pipe) == outcome(loop_pairs, text)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("at", [0, 40, 9000, 30_000])
+def test_file_that_does_not_decode_reads_as_the_loop_reads_it(tmp_path, at):
+    """A byte UTF-8 rejects, in the head, in the first block of the body
+    or far past it, raises the loop's UnicodeDecodeError (or, in another
+    locale encoding, reads as the loop reads it)."""
+    text = bytearray((H + "".join(f"{60 * i},{i % 7}.5\n" for i in range(3000))).encode())
+    text[at] = 0xFF
+    path = tmp_path / "trace.csv"
+    path.write_bytes(bytes(text))
+    results = []
+    for read in (_read_pairs, loop_pairs):
+        try:
+            results.append(outcome(read, path))
+        except UnicodeDecodeError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def test_value_check_counts_blank_body_lines():
