@@ -7,7 +7,8 @@ because it has a string column, and a trace's up to its header.  load_trace
 gives the rest to np.loadtxt, straight from the open file when it reads a
 path, and sends the whole file through the loop only where that fast path
 cannot vouch for the body.  write_table renders every CSV the package
-writes: catalogs, budget traces, reports and sweeps.
+writes: catalogs, budget traces, reports and sweeps; the report's CSV is
+written a chunk of rows at a time through write_rows.
 
 float_words is the one speller of float arrays for every writer, CSV and
 JSON: it spells each distinct bit pattern once and gathers the words back
@@ -82,8 +83,14 @@ def float_words(values: np.ndarray, nonfinite=repr) -> np.ndarray:
 
 
 def write_table(header: str, columns: list, meta: tuple[str, ...] = ()) -> str:
-    """A '#' line for each entry of meta, the header row, then one row per
-    index of the equal-length columns.
+    """A '#' line for each entry of meta, the header row, then write_rows
+    of the columns."""
+    return "".join([f"#{line}\n" for line in meta] + [header + "\n", write_rows(columns)])
+
+
+def write_rows(columns: list) -> str:
+    """One line per index of the equal-length columns, each ending in a
+    newline.
 
     The float64 array columns are spelled together by float_words, as repr
     spells each value.  Any other column's cells go through %s: an int as
@@ -95,7 +102,5 @@ def write_table(header: str, columns: list, meta: tuple[str, ...] = ()) -> str:
         words = float_words(np.stack([columns[k] for k in floats])).tolist()
         for k, column in zip(floats, words):
             columns[k] = column
-    template = ",".join(["%s"] * len(columns))
-    lines = [f"#{line}" for line in meta] + [header]
-    lines += [template % row for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    return "".join([template % row for row in zip(*columns)])

@@ -25,9 +25,9 @@ from .catalog import Catalog, CatalogError, builtin_table1, load_catalog, pareto
 from .harvest import BudgetSeries, PanelModel, TraceError, load_trace, synth_trace, trace_to_budgets
 from .lp_core import INFEASIBLE
 from .simulator import (
+    _csv_chunks,
     _json_chunks,
     alpha_sweep_to_csv,
-    report_to_csv,
     simulate,
     sweep_alpha,
     sweep_budget,
@@ -295,9 +295,8 @@ def cmd_simulate(config: RunConfig) -> int:
     budgets = _resolve_budgets(config)
     report = simulate(budgets, catalog, config.alpha)
     if config.output is not None:
-        # The JSON report is written as it is rendered, a chunk of records at a time.
-        pieces = _json_chunks(report) if config.format == "json" else [report_to_csv(report)]
-        _emit(pieces, config.output)
+        # The report is written as it is rendered, a chunk of periods at a time.
+        _emit((_json_chunks if config.format == "json" else _csv_chunks)(report), config.output)
     lines = [
         f"periods: {len(report)}",
         f"mean expected accuracy: {report.mean_expected_accuracy:.6g}",

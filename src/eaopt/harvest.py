@@ -25,9 +25,14 @@ Trace CSV format::
 
 load_trace reads a path without holding its lines: it counts them on the
 file's bytes, reads up to the header through read_table, and gives the open
-file to np.loadtxt.  A file that np.loadtxt cannot vouch for that way is
-read again as a list of lines, the form file-like objects and lists always
-take.
+file to np.loadtxt, whose (N, 2) table the trace's times and values are
+column views of.  A file np.loadtxt cannot vouch for that way goes to the
+read_table loop; one with a '\\r' outside a '\\r\\n', or a pipe, is read as a
+list of lines, the form file-like objects and lists always take.
+
+trace_to_budgets integrates an irradiance trace one block of
+_BLOCK_PERIODS periods at a time, so that its cut arrays hold one block's
+samples and edges, not the whole trace's.
 """
 
 from __future__ import annotations
@@ -112,24 +117,29 @@ def _read_pairs(source):
     so its lines are never held at once.  Any other file (metadata after
     the header, an inline '#', a repeated header, a wrong field count, a
     spelling such as 1_000 that float() reads and loadtxt does not, a
-    blank line in the body, no rows, and for a path any '\\r' or a pipe)
-    goes to the list of its lines, and where loadtxt cannot vouch for that
-    list either, to the read_table loop, which decides both the values and
-    the error text.
+    blank line in the body, no rows) goes to the read_table loop, which
+    decides both the values and the error text.  A path that is a pipe, or
+    that holds a '\\r' outside a '\\r\\n', is read as the list of its lines
+    first, and np.loadtxt tries that list before the loop does.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
-            if fh.seekable():  # not a pipe
-                fast = _stream_pairs(fh)
+            total = _count_lines(fh) if fh.seekable() else None  # None for a pipe
+            if total is not None:
+                fast = _loadtxt_pairs(fh, total)
                 if fast is not None:
                     return fast
                 fh.seek(0)
+                return _loop_pairs(fh)
             lines = list(fh)
     else:
         lines = list(source)
     fast = _loadtxt_pairs(iter(lines), len(lines))
-    if fast is not None:
-        return fast
+    return _loop_pairs(lines) if fast is None else fast
+
+
+def _loop_pairs(lines):
+    """_read_pairs through the read_table loop alone."""
     meta, rows, row_lines = read_table(lines, TRACE_HEADER, _parse_pair, TraceError)
     return meta, np.array([a for a, _ in rows]), np.array([b for _, b in rows]), row_lines
 
@@ -138,19 +148,20 @@ def _read_pairs(source):
 _SCAN_BYTES = 1 << 20
 
 
-def _stream_pairs(fh):
-    """_loadtxt_pairs on an open text file, or None where it cannot vouch.
-    The lines are counted on the bytes, as the newlines plus an
-    unterminated last line.  Text mode also ends a line at a '\\r', so a
-    file with any '\\r' is left to the list path."""
-    total, last = 0, b"\n"
+def _count_lines(fh):
+    """The lines of an open text file, counted on its bytes as the newlines
+    plus an unterminated last line, with the file rewound; or None when a
+    '\\r' is not followed by '\\n', since text mode ends a line there too."""
+    total = lone = 0
+    last = b"\n"
     while chunk := fh.buffer.read(_SCAN_BYTES):
-        if b"\r" in chunk:
-            return None
         total += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lone += chunk.count(b"\r") - chunk.count(b"\r\n")
+        lone -= last == b"\r" and chunk[:1] == b"\n"  # a '\r\n' split between reads
         last = chunk[-1:]
     fh.seek(0)
-    return _loadtxt_pairs(fh, total + (last != b"\n"))
+    return None if lone else total + (last != b"\n")
 
 
 def _loadtxt_pairs(lines, total: int):
@@ -158,7 +169,8 @@ def _loadtxt_pairs(lines, total: int):
     it, or None where only the read_table loop can tell.  lines is an
     iterator over the file's total lines; an open file is its own.  A
     first data line that is not the header raises read_table's error for
-    that line, as the loop would."""
+    that line, as the loop would.  The two columns are views of loadtxt's
+    table."""
     head = []
     for raw in lines:
         head.append(raw)
@@ -175,7 +187,7 @@ def _loadtxt_pairs(lines, total: int):
         return None
     if table.shape != (total - len(head), 2):
         return None
-    first, second = table.T.copy()
+    first, second = table.T
     return meta, first, second, range(len(head) + 1, total + 1)
 
 
@@ -197,7 +209,9 @@ def _check_samples(times: np.ndarray, values: np.ndarray, lines, unit: str = "li
     _reject(~(np.isfinite(times) & np.isfinite(values)), lines,
             lambda i: f"non-finite value in row {(float(times[i]), float(values[i]))!r}", unit)
     _reject(values < 0, lines, lambda i: f"negative value {float(values[i])!r}", unit)
-    _reject(np.diff(times, prepend=-np.inf) <= 0, lines,
+    not_after = np.zeros(len(times), dtype=bool)
+    np.less_equal(times[1:], times[:-1], out=not_after[1:])
+    _reject(not_after, lines,
             lambda i: f"timestamp {float(times[i])!r} not after previous "
                       f"{float(times[i - 1])!r}", unit)
 
@@ -224,6 +238,10 @@ def load_trace(source) -> HarvestTrace:
     return HarvestTrace(times, values, mode)
 
 
+# Periods trace_to_budgets integrates at a time in irradiance mode.
+_BLOCK_PERIODS = 1024
+
+
 def trace_to_budgets(
     trace: HarvestTrace, panel: PanelModel, period_length: float
 ) -> BudgetSeries:
@@ -233,12 +251,17 @@ def trace_to_budgets(
     Irradiance is turned into power through the panel and integrated
     exactly over each period.  Each sample holds until the next one;
     the last sample holds for as long as the previous gap, or for one
-    period when the trace has a single sample.  Budget-mode samples are
-    summed into the period containing their timestamp; grid periods with
-    no samples get a zero budget.  budget_cap, when set, clips every
-    period's budget.  A trace load_trace would reject raises TraceError
-    naming the sample index, and a period too short to count or lay out
-    raises it naming the period length.
+    period when the trace has a single sample.  The periods are integrated
+    _BLOCK_PERIODS at a time, so the work arrays hold one block's samples
+    and edges, and the trace's arrays, which load_trace gives as column
+    views of one table, are never copied whole; a period's pieces are
+    summed in the same order as over the whole trace at once, so the
+    budgets do not depend on the block size.
+    Budget-mode samples are summed into the period containing their
+    timestamp; grid periods with no samples get a zero budget.
+    budget_cap, when set, clips every period's budget.  A trace load_trace
+    would reject raises TraceError naming the sample index, and a period
+    too short to count or lay out raises it naming the period length.
     """
     if trace.mode not in _MODE_UNITS:
         raise TraceError(f"unknown trace mode {trace.mode!r}")
@@ -259,15 +282,7 @@ def trace_to_budgets(
     except (OverflowError, ValueError, MemoryError):
         raise TraceError(f"period length {period_length!r}: too many periods") from None
     if trace.mode == IRRADIANCE:
-        power = trace.values * panel.area * panel.efficiency  # watts
-        # Cut every hold at the period edges it crosses, then credit each
-        # piece's energy to the period it starts in.  An edge that is also
-        # a sample time makes a zero-width piece, which adds nothing.
-        edges = starts[1:]
-        cuts = np.sort(np.concatenate([times, [end], np.minimum(edges, end)]))
-        sample = np.searchsorted(times, cuts[:-1], side="right") - 1
-        period = np.searchsorted(edges, cuts[:-1], side="right")
-        budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
+        budgets = _integrate(times, trace.values, panel, starts, end)
     else:
         # Bin against the reported starts themselves: (times - t0) // T can
         # round a sample at a period start into the period before.
@@ -276,6 +291,39 @@ def trace_to_budgets(
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
     return BudgetSeries(period_length, starts[:len(budgets)], budgets)
+
+
+def _integrate(times, values, panel: PanelModel, starts: np.ndarray, end: float) -> np.ndarray:
+    """Energy of the irradiance holds in each period of the grid, which
+    ends at end.
+
+    Every hold is cut at the period edges it crosses, its last one at end,
+    and each piece's energy is credited to the period it starts in; an
+    edge that is also a sample time makes a zero-width piece, which adds
+    nothing.  A block of periods [lo, hi) gets exactly the pieces that
+    start in [starts[lo], starts[hi]): its own samples and clipped edges,
+    closed by its right edge, clipped to end."""
+    edges = starts[1:]
+    clipped = np.minimum(edges, end)
+    lefts = starts[_BLOCK_PERIODS::_BLOCK_PERIODS]  # every block's but the first
+    first_sample = np.concatenate([[0], np.searchsorted(times, lefts), [len(times)]])
+    first_edge = np.concatenate([[0], np.searchsorted(clipped, lefts), [len(clipped)]])
+    rights = np.append(np.minimum(lefts, end), end)
+    n = len(starts)
+    budgets = np.empty(n)
+    for b, lo in enumerate(range(0, n, _BLOCK_PERIODS)):
+        hi = min(lo + _BLOCK_PERIODS, n)
+        s0, s1 = first_sample[b : b + 2]
+        held = times[s0:s1]
+        cuts = np.sort(np.concatenate([
+            held, clipped[first_edge[b] : first_edge[b + 1]], rights[b : b + 1],
+        ]))
+        pieces = cuts[:-1]
+        sample = np.searchsorted(held, pieces, side="right") + (s0 - 1)
+        period = np.searchsorted(edges[lo : hi - 1], pieces, side="right")
+        power = values[sample] * panel.area * panel.efficiency  # watts
+        budgets[lo:hi] = np.bincount(period, weights=power * np.diff(cuts), minlength=hi - lo)
+    return budgets
 
 
 def synth_trace(

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._table import float_words, write_table
+from ._table import float_words, write_rows, write_table
 from ._tolerance import COUNT_SLACK
 from .allocator import Allocation, _allocations, _baselines, _check_inputs, _solve
 from .catalog import Catalog
@@ -337,7 +337,12 @@ def report_to_json(report: SimulationReport) -> str:
 def _json_chunks(report: SimulationReport):
     """report_to_json's text in pieces: the aggregates, the records
     _CHUNK_PERIODS at a time, then the closing brackets, so that a writer
-    never holds the whole text."""
+    never holds the whole text.
+
+    Everything in a record after "start" is a function of the row's
+    floats, its infeasible flag and its defined mask, so each chunk renders
+    each of its distinct rows once; keying on bits keeps -0.0 apart from
+    0.0.  Only one chunk's rows and rendered tails are held at a time."""
     c = report.columns
     periods = len(c.budget)
     head = {
@@ -352,50 +357,57 @@ def _json_chunks(report: SimulationReport):
         "off_share": report.off_share,
         "ratio_stats": {str(i): asdict(st) for i, st in report.ratio_stats.items()},
     }
-    # Everything in a record after "start" is a function of the row's
-    # floats, its infeasible flag and its defined mask, so each distinct
-    # row is rendered once; keying on bits keeps -0.0 apart from 0.0.
     n = len(report.dp_ids)
-    static_off = report.period_length - c.static_t
-    floats = np.column_stack(
-        [c.budget, c.seconds, c.readings.T]
-        + [np.column_stack([c.static_t[:, k], static_off[:, k], c.static_readings[:, :, k].T])
-           for k in range(n)]
-        + [c.ratios]
-    )
-    keys = np.column_stack([floats.view(np.int64), c.infeasible, c.defined])
-    first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]
-    words = float_words(floats[first], json.dumps)
-    del static_off, floats, keys
-    words[:, -n:][~c.defined[first]] = "null"
     record, optimal_tail = _record_template(report.dp_ids, OPTIMAL)
     infeasible_tail = _record_template(report.dp_ids, INFEASIBLE)[1]
-    tails = np.array([
-        (infeasible_tail if below else optimal_tail) % tuple(row)
-        for below, row in zip(c.infeasible[first].tolist(), words.tolist())
-    ], dtype=object)
-    del words
-    inverse = inverse.reshape(-1)
-    starts = float_words(c.starts, json.dumps)
     # json.dumps(head) ends in "\n}": the records go in before that brace.
     yield json.dumps(head, indent=2)[:-2] + ',\n  "records": [\n'
     for lo in range(0, periods, _CHUNK_PERIODS):
         hi = min(lo + _CHUNK_PERIODS, periods)
-        rows = zip(range(lo, hi), starts[lo:hi].tolist(), tails[inverse[lo:hi]].tolist())
+        static_t = c.static_t[lo:hi]
+        floats = np.column_stack(
+            [c.budget[lo:hi], c.seconds[lo:hi], c.readings[:, lo:hi].T]
+            + [np.column_stack([static_t[:, k], report.period_length - static_t[:, k],
+                                c.static_readings[:, lo:hi, k].T])
+               for k in range(n)]
+            + [c.ratios[lo:hi]]
+        )
+        infeasible, defined = c.infeasible[lo:hi], c.defined[lo:hi]
+        keys = np.column_stack([floats.view(np.int64), infeasible, defined])
+        first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]
+        words = float_words(floats[first], json.dumps)
+        words[:, -n:][~defined[first]] = "null"
+        tails = [
+            (infeasible_tail if below else optimal_tail) % tuple(row)
+            for below, row in zip(infeasible[first].tolist(), words.tolist())
+        ]
+        starts = float_words(c.starts[lo:hi], json.dumps).tolist()
+        rows = zip(range(lo, hi), starts, map(tails.__getitem__, inverse.reshape(-1).tolist()))
         yield (",\n" if lo else "") + ",\n".join(map(record.__mod__, rows))
     yield "\n  ]\n}\n"
 
 
 def report_to_csv(report: SimulationReport) -> str:
     """One row per period; undefined ratios serialize as empty cells."""
+    return "".join(_csv_chunks(report))
+
+
+def _csv_chunks(report: SimulationReport):
+    """report_to_csv's text in pieces: the header, then the rows
+    _CHUNK_PERIODS at a time, so that a writer never holds the whole text."""
     cols = ["index", "start", "budget_j", "opt_objective", "opt_expected_accuracy",
             "opt_active_fraction", "opt_off_time"]
     for dp_id in report.dp_ids:
         cols += [f"dp{dp_id}_time", f"dp{dp_id}_static_objective", f"dp{dp_id}_ratio"]
+    yield write_table(",".join(cols), [])
     c = report.columns
-    ratios = float_words(c.ratios)
-    ratios[~c.defined] = ""
-    fill = [range(len(c.budget)), c.starts, c.budget, *c.readings[:3], c.seconds[:, -1]]
-    for k in range(len(report.dp_ids)):
-        fill += [c.seconds[:, k], c.static_readings[0, :, k], ratios[:, k].tolist()]
-    return write_table(",".join(cols), fill)
+    periods = len(c.budget)
+    for lo in range(0, periods, _CHUNK_PERIODS):
+        hi = min(lo + _CHUNK_PERIODS, periods)
+        ratios = float_words(c.ratios[lo:hi])
+        ratios[~c.defined[lo:hi]] = ""
+        fill = [range(lo, hi), c.starts[lo:hi], c.budget[lo:hi], *c.readings[:3, lo:hi],
+                c.seconds[lo:hi, -1]]
+        for k in range(len(report.dp_ids)):
+            fill += [c.seconds[lo:hi, k], c.static_readings[0, lo:hi, k], ratios[:, k].tolist()]
+        yield write_rows(fill)

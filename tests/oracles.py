@@ -21,6 +21,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from eaopt._tolerance import COUNT_SLACK
 from eaopt.catalog import Catalog, DesignPoint
 
 _FEAS_TOL = 1e-9
@@ -223,6 +224,29 @@ def highs_objective(catalog, period: float, budget: float, alpha: float) -> floa
     if res.status != 0:
         raise ArithmeticError(f"HiGHS status {res.status}: {res.message}")
     return -float(res.fun) * scale
+
+
+def one_shot_budgets(trace, panel, period_length: float) -> np.ndarray:
+    """Irradiance budgets integrated over the whole trace at once, with no
+    blocks: the reference that trace_to_budgets' blocked integration must
+    match bit for bit, cap included.  Every hold is cut at the period edges
+    it crosses, and one bincount credits each piece to the period it
+    starts in."""
+    times = trace.times
+    t0 = float(times[0])
+    last_hold = float(times[-1]) - float(times[-2]) if len(times) > 1 else period_length
+    end = float(times[-1]) + last_hold
+    n = max(1, math.ceil((end - t0) / period_length - COUNT_SLACK))
+    starts = t0 + period_length * np.arange(n)
+    power = trace.values * panel.area * panel.efficiency
+    edges = starts[1:]
+    cuts = np.sort(np.concatenate([times, [end], np.minimum(edges, end)]))
+    sample = np.searchsorted(times, cuts[:-1], side="right") - 1
+    period = np.searchsorted(edges, cuts[:-1], side="right")
+    budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
+    if panel.budget_cap is not None:
+        budgets = np.minimum(budgets, panel.budget_cap)
+    return budgets
 
 
 def _ratio(optimized: float, static: float) -> float | None:

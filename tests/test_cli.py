@@ -16,7 +16,7 @@ from eaopt import cli
 from eaopt.catalog import builtin_table1, serialize_catalog
 from eaopt.cli import RunConfig, load_config_file, main, make_config
 from eaopt.harvest import BudgetSeries, PanelModel, budget_series_to_csv, synth_trace, trace_to_budgets
-from eaopt.simulator import _CHUNK_PERIODS, report_to_json, simulate
+from eaopt.simulator import _CHUNK_PERIODS, report_to_csv, report_to_json, simulate
 
 SPLIT_5J = {"4": 1545.4545454545455, "5": 2054.5454545454545}
 HOUR = 3600.0
@@ -257,6 +257,22 @@ class TestSimulate:
         assert code == 0 and err == ""
         assert out.startswith(f"periods: {periods}\n")
         assert report_path.read_text() == report_to_json(simulate(series, builtin_table1(), 1.0))
+
+    def test_csv_report_of_several_chunks(self, capsys, tmp_path):
+        """The CSV report of more periods than two chunks is exactly
+        report_to_csv of the in-process report."""
+        rng = np.random.default_rng(8)
+        periods = 2 * _CHUNK_PERIODS + 452
+        budgets = np.where(rng.random(periods) < 0.4, 0.0, rng.uniform(0.1, 12.0, periods))
+        series = BudgetSeries(HOUR, HOUR * np.arange(periods), budgets)
+        trace = tmp_path / "series.csv"
+        trace.write_text(budget_series_to_csv(series))
+        report_path = tmp_path / "report.csv"
+        code, out, err = run(capsys, "simulate", "--trace", str(trace),
+                             "--format", "csv", "--output", str(report_path))
+        assert code == 0 and err == ""
+        assert out.startswith(f"periods: {periods}\n")
+        assert report_path.read_text() == report_to_csv(simulate(series, builtin_table1(), 1.0))
 
     def test_json_report_is_written_in_chunks(self, capsys, tmp_path, monkeypatch):
         """simulate --output writes the JSON report as it renders it: from

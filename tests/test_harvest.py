@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eaopt import harvest
 from eaopt.harvest import (
     BUDGET,
     IRRADIANCE,
@@ -20,6 +21,7 @@ from eaopt.harvest import (
     synth_trace,
     trace_to_budgets,
 )
+from oracles import one_shot_budgets
 
 PANEL = PanelModel(area=2e-3, efficiency=0.15)
 HOUR = 3600.0
@@ -240,6 +242,80 @@ class TestIrradianceIntegration:
             for start, end in zip(series.starts, ends)
         ]
         assert series.budgets.tolist() == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def blocked_cases(draw):
+    """An irradiance trace, a panel and a period: samples on period edges
+    (t0 + T * k, as the grid lays them out) and between them, a single
+    sample, short and long last holds, zero values, and the cap on or off."""
+    t0 = draw(st.sampled_from([0.0, -5000.0, 123.456, 1e9]))
+    period = draw(st.one_of(st.sampled_from([3600.0, 900.0, 61.3, 1.0]),
+                            st.floats(0.5, 1e4)))
+    spots = draw(st.lists(
+        st.tuples(st.integers(0, 1100),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
+        min_size=1, max_size=30,
+    ))
+    positions = np.unique([0.0] + [k if f == 0.0 else k + f for k, f in spots])
+    times = np.unique(t0 + period * positions)
+    values = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1500.0)), min_size=len(times), max_size=len(times),
+    )))
+    cap = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
+    panel = PanelModel(area=draw(st.sampled_from([2e-3, 0.37])), budget_cap=cap)
+    return HarvestTrace(times, values, IRRADIANCE), panel, period
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocked_cases())
+# starts = t0 + T * k rounds to the same value for runs of k.
+@example(case=(HarvestTrace(np.array([1e9, 1e9 + 3.6e-7]), np.array([5.0, 7.0]), IRRADIANCE),
+               PANEL, 1e-9))
+@example(case=(HarvestTrace(np.array([0.0]), np.array([3.0]), IRRADIANCE), PANEL, 7.0))
+def test_blocked_integration_is_the_one_shot_integration(case):
+    """Integrated a block of periods at a time, every budget is bit for bit
+    the one integrated over the whole trace at once, at any block size."""
+    trace, panel, period = case
+    expected = one_shot_budgets(trace, panel, period)
+    for size in (1, 2, harvest._BLOCK_PERIODS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harvest, "_BLOCK_PERIODS", size)
+            series = trace_to_budgets(trace, panel, period)
+        assert series.budgets.tobytes() == expected.tobytes()
+        assert len(series.starts) == len(expected)
+
+
+def test_year_is_integrated_in_blocks_as_at_once():
+    """Minute samples over 90 days at several periods: many blocks of the
+    default size, the same budgets as the one-shot integration."""
+    trace = synth_trace(90, noise=0.3, seed=4)
+    minutes = HarvestTrace(np.arange(len(trace.times) * 60) * 60.0,
+                           np.repeat(trace.values, 60), IRRADIANCE)
+    for period, cap in [(3600.0, None), (900.0, 0.2), (61.3, None), (25_200.0, 1.0)]:
+        panel = PanelModel(budget_cap=cap)
+        series = trace_to_budgets(minutes, panel, period)
+        assert len(series) > harvest._BLOCK_PERIODS or period == 25_200.0
+        assert series.budgets.tobytes() == one_shot_budgets(minutes, panel, period).tobytes()
+
+
+def test_integration_holds_one_block_at_a_time():
+    """trace_to_budgets on 100k minute samples at ten samples a period (ten
+    blocks): tracemalloc's peak stays below the bytes of the trace's own
+    arrays.  Integrating the whole trace at once holds its cuts, their sort
+    and their sample and period indices, about three times those bytes."""
+    rng = np.random.default_rng(3)
+    rows = 100_000
+    day = np.arange(rows) % 1440 < 720
+    trace = HarvestTrace(60.0 * np.arange(rows), rng.uniform(0, 12, rows) * day, IRRADIANCE)
+    tracemalloc.start()
+    try:
+        series = trace_to_budgets(trace, PANEL, 600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == rows // 10
+    assert peak < trace.times.nbytes + trace.values.nbytes
 
 
 class TestBudgetRebin:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,42 @@ class TestJsonChunks:
             assert len(chunks) == 2 + math.ceil(periods / size)
             assert "".join(chunks) == text
             assert report_to_json(report) == text
+
+
+class TestChunks:
+    """Both report writers render _CHUNK_PERIODS periods at a time, and
+    find each chunk's distinct rows in that chunk alone."""
+
+    @pytest.mark.parametrize("size", [1, 3, simulator._CHUNK_PERIODS])
+    def test_rows_repeated_across_chunks_render_alike(self, size, monkeypatch):
+        # Each budget comes back every few periods, so a row first met in
+        # one chunk repeats in later ones, at every chunk size tried.
+        budgets = np.tile([0.0, 5.0, 0.0, 12.0, 5.0, 0.2, -0.0], 150)[:1030]
+        report = simulate(BudgetSeries(HOUR, HOUR * np.arange(len(budgets)), budgets),
+                          CATALOG, 1.0)
+        expected = reference_report_json(report), reference_report_csv(report)
+        monkeypatch.setattr(simulator, "_CHUNK_PERIODS", size)
+        assert (report_to_json(report), report_to_csv(report)) == expected
+        # The header, then one chunk per size periods.
+        assert len(list(simulator._csv_chunks(report))) == 1 + math.ceil(len(budgets) / size)
+
+    @pytest.mark.parametrize("writer", ["_json_chunks", "_csv_chunks"])
+    def test_render_peak_does_not_grow_with_the_periods(self, writer):
+        """tracemalloc's peak while half a year's report is rendered chunk
+        by chunk is the peak for a year, within 5 %: only one chunk's rows
+        and text are held at a time."""
+        peaks = []
+        for days in (182, 365):
+            series = trace_to_budgets(synth_trace(days, noise=0.3, seed=1), PanelModel(), HOUR)
+            report = simulate(series, CATALOG, 1.0)
+            tracemalloc.start()
+            try:
+                for _ in getattr(simulator, writer)(report):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
 
 
 def test_overflowed_ratio_is_strict_json():

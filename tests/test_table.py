@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from eaopt._table import float_words, read_table
 from eaopt.catalog import CatalogError, load_catalog
+from eaopt import harvest
 from eaopt.harvest import (
     TRACE_HEADER,
     TraceError,
+    _count_lines,
     _loadtxt_pairs,
     _parse_pair,
     _read_pairs,
-    _stream_pairs,
     load_trace,
 )
 
@@ -140,11 +141,14 @@ FALLBACK = {
     # A lone '\r' ends a line in a file, not in a list of lines.
     "lone-cr": H + "0,1\r60,2\n",
     "lone-cr-in-head": "#mode: irradiance\rtimestamp,value\n0,1\n",
+    "cr-before-crlf": H + "0,1\r\r\n60,2\r\n",
     "short-last-row-unterminated": H + "0,1\n60",
     "header-unterminated": H[:-1],
 }
 FAST = {
     "crlf": H + "0,1\r\n60,2\r\n",
+    "crlf-unterminated": H.replace("\n", "\r\n") + "0,1\r\n60,2",
+    "crlf-then-lone-cr": H + "0,1\r\n60,2\r",  # a file leaves it to the list path
     "no-trailing-newline": H + "0,1\n60,2",
     "one-row-unterminated": H + "0,1",
     "one-row": H + "0,1\n",
@@ -171,11 +175,12 @@ def test_read_pairs_matches_the_line_loop_on(name, tmp_path):
     expected_from_file = outcome(loop_pairs, path)
     assert outcome(_read_pairs, path) == expected_from_file
     with open(path) as fh:
-        streamed = fast_path(_stream_pairs, fh)
+        total = _count_lines(fh)
+        streamed = None if total is None else fast_path(_loadtxt_pairs, fh, total)
     if name in FAST:
         assert isinstance(fast, tuple)
-        # A file with any '\r' is left to the list of its lines.
-        assert isinstance(streamed, tuple) == ("\r" not in text)
+        # A file with a '\r' outside a '\r\n' is left to the list of its lines.
+        assert isinstance(streamed, tuple) == ("\r" not in text.replace("\r\n", ""))
     else:
         # None, or the loop's own error for a data line before the header.
         assert fast is None or fast == expected
@@ -214,6 +219,34 @@ def test_file_that_does_not_decode_reads_as_the_loop_reads_it(tmp_path, at):
         except UnicodeDecodeError as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("scan", [1, 2, 3, 5, 1 << 20])
+def test_line_count_pairs_a_crlf_split_between_reads(scan, tmp_path, monkeypatch):
+    """_count_lines reads _SCAN_BYTES at a time: a '\\r\\n' split between two
+    reads still counts as one line end, and a '\\r' that ends a read and is
+    not followed by '\\n' still sends the file to the list of its lines."""
+    monkeypatch.setattr(harvest, "_SCAN_BYTES", scan)
+    crlf = (H + "0,1\n60,2\n120,3").replace("\n", "\r\n")
+    for text, expected in [(crlf, 5), (crlf + "\r\n", 5), (crlf + "\r", None),
+                           (crlf.replace("\r\n60", "\r60"), None), ("\r", None),
+                           ("\r\n", 1), ("", 0)]:
+        with open(write_trace(tmp_path, text)) as fh:
+            assert _count_lines(fh) == expected
+            assert fh.read() == io.StringIO(text, newline=None).read()  # rewound
+
+
+def test_failing_body_is_parsed_by_np_loadtxt_once(tmp_path, monkeypatch):
+    """A file whose body np.loadtxt rejects goes from the streamed parse
+    straight to the read_table loop, which gives its error."""
+    text = H + "".join(f"{60 * i},1\n" for i in range(2000)) + "120000,x\n"
+    path = write_trace(tmp_path, text)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    assert outcome(_read_pairs, path) == "line 2003: bad numeric field in '120000,x'"
+    assert len(calls) == 1
+    assert outcome(loop_pairs, path) == outcome(_read_pairs, path)
 
 
 def test_value_check_counts_blank_body_lines():
