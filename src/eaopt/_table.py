@@ -14,13 +14,14 @@ float_words is the one speller of float arrays for every writer, CSV and
 JSON: it spells each distinct bit pattern once and gathers the words back
 into place.  Half the periods of a simulated year are the same zero-budget
 night, so most cells repeat.
+
+numpy is imported by float_words and write_rows only, when they are
+called: read_table, and so loading a catalog, runs without it.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 
 def read_table(source, header: str, parse, error: type[Exception]):
@@ -73,6 +74,8 @@ def float_words(values: np.ndarray, nonfinite=repr) -> np.ndarray:
     np.unique would merge -0.0 with 0.0.  The distinct patterns are spelled
     by one repr of their list, split on ", ".
     """
+    import numpy as np
+
     values = np.ascontiguousarray(values, dtype=np.float64)
     keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     distinct = keys.view(np.float64)
@@ -95,6 +98,8 @@ def write_rows(columns: list) -> str:
     The float64 array columns are spelled together by float_words, as repr
     spells each value.  Any other column's cells go through %s: an int as
     its str, a word, a label or "" as itself."""
+    import numpy as np
+
     columns = list(columns)
     floats = [k for k, c in enumerate(columns)
               if isinstance(c, np.ndarray) and c.dtype == np.float64]

@@ -16,26 +16,32 @@ envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
 evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
 vertex alone once the budget covers its power.  Every schedule here is
-one closed form, _split: mode right runs for
+one closed form: mode right runs for
 t_right = clip((budget - p_left T) / (p_right - p_left), 0, T) seconds
 and mode left for the rest.  The optimum takes (left, right) to be the
 envelope segment around budget/T, and the static baseline of design
-point k takes it to be (off, k).  Both solve a whole array of budgets at
-once, and share one keep-alive floor mask.  regime_map reads the budgets
-where the optimal mix changes off the same envelope.
+point k takes it to be (off, k).  A budget below the keep-alive floor is
+infeasible, and the floor only sets that status: the off state is always
+the first envelope vertex, so such a budget falls on the first segment,
+whose t_right clips to 0.  regime_map reads the budgets where the
+optimal mix changes off the same envelope.
 
 Nothing that depends only on (catalog, alpha) is redone per decision.
 Each Catalog keeps, in cached properties, its validation result and a
-functools.lru_cache of _segments over its _rows, the accuracy, active and
-power rows built once per catalog: one immutable segment table of tuples
-(the envelope, its inner vertex powers and the utility row beside those
-same three rows) for each of the _ALPHA_MEMO most recently used alpha
-values.  optimize_allocation is one decision,
-_decide: one bisect of the inner vertex powers, then the closed form on
-the table's Python floats.  simulate solves all its budgets with _solve
-and _baselines, which make numpy arrays of the same table once per call
-and run the same operations in the same order, so that both give the
-same bits for one budget.  regime_map reads the same table.
+functools.lru_cache of _segments over its _rows, built once per catalog:
+the accuracy, active and power rows and the modes in power order.  Each
+entry is one immutable segment table of tuples (the envelope, its inner
+vertex powers and the utility row beside those same three rows) for one
+of the _ALPHA_MEMO most recently used alpha values.  The table is built
+in Python floats, utilities by Python's **, as envelope_oracle and
+build_problem spell them, so this module imports no numpy: one decision
+through the CLI never loads it.  optimize_allocation and
+static_dp_allocation are one decision each, _decide: one bisect of the
+inner vertex powers, then the closed form on the table's floats.
+simulate solves all its budgets with simulator._solve and
+simulator._baselines, which make numpy arrays of the same table once per
+call and run the same operations in the same order, so that both give
+the same bits for one budget.  regime_map reads the same table.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -44,9 +50,9 @@ design point has utility 1, the cheapest design point runs for as much
 of the period as the budget allows and any leftover energy is unspent.
 
 build_problem writes the same problem as a StandardFormLP for the
-simplex solver in lp_core, and envelope_oracle recomputes the optimum
-in pure Python; both are independent cross-checks of the allocator and
-read none of these caches.
+simplex solver in lp_core, which it imports when called, and
+envelope_oracle recomputes the optimum in pure Python; both are
+independent cross-checks of the allocator and read none of these caches.
 """
 
 from __future__ import annotations
@@ -55,16 +61,24 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._tolerance import FLOOR_RTOL
 from .catalog import Catalog, DesignPoint
-from .harvest import _check_budget
-from .lp_core import EQ, INFEASIBLE, LE, OPTIMAL, StandardFormLP
+
+# The status of a solved schedule; lp_core's solutions use the same words.
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
 
 # How many alpha values' segment tables a catalog keeps; the least
 # recently used is dropped to make room for a new one.
 _ALPHA_MEMO = 64
+
+
+def _check_budget(budget) -> None:
+    """Raise ValueError unless budget is finite and >= 0.  A numpy
+    scalar is named as the Python number its item() gives."""
+    if not (math.isfinite(budget) and budget >= 0):
+        value = budget.item() if hasattr(budget, "item") else budget
+        raise ValueError(f"budget {value!r} must be finite and >= 0")
 
 
 def _check_inputs(period: float, alpha: float, catalog: Catalog, check_budgets=lambda: None) -> None:
@@ -145,112 +159,63 @@ class _Segments:
 
 def _rows(design_points: tuple[DesignPoint, ...], off_power: float):
     """The accuracy, active and power rows of the design points and the
-    off state, off last: the weights of a segment table that do not
-    depend on alpha.  Catalog._segments builds them once per catalog."""
+    off state, off last, and the modes in stable power order: the parts
+    of a segment table that do not depend on alpha.  Catalog._segments
+    builds them once per catalog."""
+    power = tuple(float(dp.power) for dp in design_points) + (float(off_power),)
     return (
         tuple(float(dp.accuracy) for dp in design_points) + (0.0,),
         (1.0,) * len(design_points) + (0.0,),
-        tuple(float(dp.power) for dp in design_points) + (float(off_power),),
+        power,
+        tuple(sorted(range(len(power)), key=power.__getitem__)),
     )
 
 
 def _segments(accuracy: tuple[float, ...], active: tuple[float, ...],
-              power: tuple[float, ...], alpha: float) -> _Segments:
+              power: tuple[float, ...], order: tuple[int, ...], alpha: float) -> _Segments:
     """The segment table at alpha of the modes whose _rows are accuracy,
-    active and power.  Catalog._segments keeps it for the _ALPHA_MEMO
-    most recently used alpha values."""
-    utility = np.array(accuracy) ** float(alpha)  # the cache gives 1 and 1.0 one key
+    active, power and order.  Catalog._segments keeps it for the
+    _ALPHA_MEMO most recently used alpha values."""
+    alpha = float(alpha)  # the cache gives 1 and 1.0 one key
+    utility = [a**alpha for a in accuracy]
     utility[-1] = 0.0  # 0.0**0 is 1
-    hull = _envelope(np.array(power), utility)
+    hull = _envelope(power, utility, order)
     inner = tuple(power[k] for k in hull[1:-1])
-    return _Segments(hull, inner, (tuple(utility.tolist()), accuracy, active, power))
+    return _Segments(hull, inner, (tuple(utility), accuracy, active, power))
 
 
-def _envelope(power: np.ndarray, utility: np.ndarray) -> tuple[int, ...]:
+def _envelope(power, utility, order) -> tuple[int, ...]:
     """Modes on the rising upper concave envelope of (power, utility),
-    cheapest first; the off state, the cheapest mode, is always the first."""
-    # Modes of equal power stay in catalog order.  Of those, the first
-    # with the highest utility survives the filter or the chain below.
-    order = np.argsort(power, kind="stable")
-    # A mode that does not raise the best utility of the cheaper ones
-    # is never optimal.  The survivors rise in utility.
-    ranked = utility[order]
-    rises = np.empty(order.size, dtype=bool)
-    rises[0] = True
-    np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=rises[1:])
-    kept = order[rises].tolist()
-    px, uy = power[kept].tolist(), utility[kept].tolist()
+    cheapest first; the off state, the cheapest mode, is always the first.
+    order lists the modes by power, those of equal power in catalog order."""
+    # A mode that does not raise the best utility of the cheaper ones is
+    # never optimal, so of modes of equal power the first with the highest
+    # utility survives.  The survivors rise in utility.
+    kept = [order[0]]
+    best = utility[order[0]]
+    for k in order:
+        if utility[k] > best:
+            kept.append(k)
+            best = utility[k]
     hull: list[int] = []  # Andrew's monotone chain, upper half
-    for k in range(len(kept)):
+    for k in kept:
+        pk, uk = power[k], utility[k]
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            cross = (px[a] - px[o]) * (uy[k] - uy[o]) - (uy[a] - uy[o]) * (px[k] - px[o])
+            po, uo = power[o], utility[o]
+            cross = (power[a] - po) * (uk - uo) - (utility[a] - uo) * (pk - po)
             if cross < 0:
                 break
             hull.pop()
         hull.append(k)
-    return tuple(kept[k] for k in hull)
-
-
-def _split(power: np.ndarray, budgets: np.ndarray, period: float, left, right) -> np.ndarray:
-    """Seconds on mode right of the schedules that mix modes left and
-    right to spend each budget: t_right = (budget - p_left T) /
-    (p_right - p_left), clipped to [0, T]; mode left runs the rest.  A
-    quotient that overflows to inf clips to T."""
-    p_left = power[left]
-    with np.errstate(over="ignore"):
-        t_right = (budgets - p_left * period) / (power[right] - p_left)
-    return np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
-
-
-def _readings(weight: np.ndarray, left, right, t_right, period: float) -> np.ndarray:
-    """Rows objective, expected_accuracy, active_fraction and
-    energy_used of each schedule that runs mode left for T - t_right
-    seconds and mode right for t_right: one expression over the (4, N+1)
-    weight rows of a table.  The arrays broadcast to one shape, one entry
-    per schedule.  Only the two mixed modes take part, so a reading does
-    not depend on how many schedules are solved together."""
-    readings = weight[..., left] * (period - t_right) + weight[..., right] * t_right
-    readings[:3] /= period
-    return readings
-
-
-def _solve(table: _Segments, period: float, budgets: np.ndarray):
-    """The optimal schedules, one per budget: (P, N+1) seconds per mode,
-    off last, their (4, P) readings, and the (P,) mask of budgets below
-    the keep-alive floor, which stay off.  The mean power budget/period
-    falls on one envelope segment (left, right), which _split shares out."""
-    weight = np.array(table.weights)
-    power = weight[3]
-    off = power.size - 1
-    if len(table.hull) == 1:  # every utility is 0: stay off
-        left, right = np.full((2, budgets.size), off)
-        t_right = np.zeros(budgets.size)
-    else:
-        # Searching the inner vertices gives the segment index; budgets
-        # past either end fall on the end segments and clip there.  A
-        # mean power that overflows to inf falls past every vertex.
-        with np.errstate(over="ignore"):
-            mean_power = budgets / period
-        seg = np.searchsorted(table.inner, mean_power, side="right")
-        hull = np.array(table.hull)
-        left, right = hull[seg], hull[seg + 1]
-        t_right = _split(power, budgets, period, left, right)
-    below = _below_floor(budgets, period, power[off])
-    left[below] = off
-    t_right[below] = 0.0
-    rows = np.arange(budgets.size)
-    seconds = np.zeros((budgets.size, off + 1))
-    seconds[rows, left] = period - t_right
-    seconds[rows, right] += t_right
-    return seconds, _readings(weight, left, right, t_right, period), below
+    return tuple(hull)
 
 
 def _decide(table: _Segments, period: float, budget: float):
-    """The optimal schedule of one budget, as _solve finds it, by the
-    same operations in the same order on Python floats: its N+1 seconds
-    per mode, off last, its four readings, and whether the budget is
-    below the keep-alive floor."""
+    """The optimal schedule of one budget, as simulator._solve finds it,
+    by the same operations in the same order on Python floats: its N+1
+    seconds per mode, off last, its four readings, and whether the budget
+    is below the keep-alive floor."""
     hull, power = table.hull, table.weights[3]
     off = len(power) - 1
     if len(hull) == 1:  # every utility is 0: stay off
@@ -263,9 +228,10 @@ def _decide(table: _Segments, period: float, budget: float):
         t_right = (budget - p_left * period) / (power[right] - p_left)
         # 0.0 first: a budget of -0.0 clips to 0.0, as in np.maximum.
         t_right = min(period, max(0.0, t_right))
+    # A budget below the floor is below p_off T, so it falls on the
+    # first segment, off to the next vertex, and t_right clips to 0: the
+    # schedule is already all off.
     below = _below_floor(budget, period, power[off])
-    if below:
-        left, t_right = off, 0.0
     seconds = [0.0] * (off + 1)
     seconds[left] = period - t_right
     seconds[right] += t_right
@@ -275,33 +241,12 @@ def _decide(table: _Segments, period: float, budget: float):
     return seconds, (objective / period, accuracy / period, active / period, energy), below
 
 
-def _baselines(table: _Segments, period: float, budgets: np.ndarray, below: np.ndarray):
-    """The static schedules: (P, N) seconds on each design point, off for
-    the rest of the period, and their (4, P, N) readings.  Design point k
-    is _split on the segment (off, k); budgets flagged in below, the
-    keep-alive floor mask, stay off."""
-    weight = np.array(table.weights)
-    n = weight.shape[1] - 1
-    off, dps = np.full((1, 1), n), np.arange(n)[None, :]
-    t = _split(weight[3], budgets[:, None], period, off, dps)
-    t[below] = 0.0
-    return t, _readings(weight, off, dps, t, period)
-
-
-def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
-    """Allocation objects from (P, len(dp_ids)) times and (P,) columns."""
-    return [
-        Allocation(dp_ids, tuple(t), off, objective, accuracy, active, energy,
-                   INFEASIBLE if below else OPTIMAL)
-        for t, off, objective, accuracy, active, energy, below in zip(
-            times.tolist(), off_time.tolist(), *(r.tolist() for r in readings),
-            infeasible.tolist(),
-        )
-    ]
-
-
 def build_problem(problem: AllocationProblem) -> StandardFormLP:
     """LP over (t_1..t_N, t_off): time closure EQ plus energy LE."""
+    import numpy as np
+
+    from .lp_core import EQ, LE, StandardFormLP
+
     dps = problem.catalog.design_points
     n = len(dps)
     weights = np.array([dp.accuracy**problem.alpha for dp in dps]) / problem.period
@@ -414,10 +359,10 @@ def static_dp_allocation(
     clipped to [0, period].  The inputs are checked as AllocationProblem
     checks them.
     """
-    catalog = Catalog((dp,), off_power)
-    _check_inputs(period, alpha, catalog, lambda: _check_budget(budget))
-    budgets = np.array([budget])
-    infeasible = _below_floor(budgets, period, off_power)
-    table = _segments(*_rows((dp,), off_power), alpha)
-    t, readings = _baselines(table, period, budgets, infeasible)
-    return _allocations((dp.id,), t, period - t[:, 0], readings[:, :, 0], infeasible)[0]
+    _check_inputs(period, alpha, Catalog((dp,), off_power), lambda: _check_budget(budget))
+    accuracy, active, power, _ = _rows((dp,), off_power)
+    # The segment (off, dp) as a two-vertex table, even where dp's
+    # utility is 0: simulator._baselines splits the same segment.
+    table = _Segments((1, 0), (), ((accuracy[0] ** float(alpha), 0.0), accuracy, active, power))
+    (t, off_time), readings, below = _decide(table, float(period), float(budget))
+    return Allocation((dp.id,), (t,), off_time, *readings, INFEASIBLE if below else OPTIMAL)

@@ -22,8 +22,9 @@ A Catalog is immutable, so what depends on it alone is computed once per
 instance and kept on it by ``functools.cached_property``: the validation
 result (``validate_catalog`` copies it into a new list on each call), the
 ``ids`` tuple and the allocator's per-alpha segment tables, whose cache
-holds the alpha-free rows of the fields, not the catalog, so a dropped
-catalog is freed at once.
+holds the alpha-free rows of the fields and their power order, not the
+catalog, so a dropped catalog is freed at once.  Loading, validating and
+Pareto-filtering a catalog run in plain Python, without numpy.
 Equality, hash, repr, pickles and copies cover the fields only.
 """
 
@@ -93,7 +94,7 @@ class Catalog:
     @cached_property
     def _segments(self):
         """The allocator's segment tables of the _ALPHA_MEMO latest alphas,
-        over rows built once."""
+        over rows and a power order built once."""
         from .allocator import _ALPHA_MEMO, _rows, _segments
 
         return lru_cache(_ALPHA_MEMO)(partial(_segments, *_rows(self.design_points, self.off_power)))

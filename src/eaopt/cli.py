@@ -9,6 +9,10 @@ Budget sources are mutually exclusive per command: --budget for
 optimize, --budget-range or --trace for sweep, --trace for simulate.
 Traces are CSV paths or synth:<N>d URIs for the built-in synthetic
 irradiance generator.
+
+optimize and pareto run without numpy: the commands that read a trace or
+solve an array of budgets import harvest and simulator, and with them
+numpy, in their own bodies.
 """
 
 from __future__ import annotations
@@ -19,20 +23,13 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .allocator import AllocationProblem, optimize_allocation
-from .catalog import Catalog, CatalogError, builtin_table1, load_catalog, pareto_partition, validate_catalog
-from .harvest import BudgetSeries, PanelModel, TraceError, load_trace, synth_trace, trace_to_budgets
-from .lp_core import INFEASIBLE
-from .simulator import (
-    _csv_chunks,
-    _json_chunks,
-    alpha_sweep_to_csv,
-    simulate,
-    sweep_alpha,
-    sweep_budget,
-    sweep_to_csv,
-)
+from .allocator import INFEASIBLE, AllocationProblem, optimize_allocation
+from .catalog import Catalog, builtin_table1, load_catalog, pareto_partition, validate_catalog
+
+if TYPE_CHECKING:
+    from .harvest import BudgetSeries
 
 
 class UsageError(ValueError):
@@ -202,6 +199,8 @@ _SYNTH_RE = re.compile(r"synth:(\d+)d")
 
 
 def _resolve_budgets(config: RunConfig) -> BudgetSeries:
+    from .harvest import PanelModel, load_trace, synth_trace, trace_to_budgets
+
     if config.trace is None:
         raise UsageError("--trace is required")
     if config.trace.startswith("synth:"):
@@ -268,6 +267,8 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    from .simulator import alpha_sweep_to_csv, sweep_alpha, sweep_budget, sweep_to_csv
+
     if (config.budget_range is None) == (config.trace is None):
         raise UsageError("sweep requires exactly one of --budget-range or --trace")
     catalog = _resolve_catalog(config)
@@ -291,6 +292,8 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    from .simulator import _csv_chunks, _json_chunks, simulate
+
     catalog = _resolve_catalog(config)
     budgets = _resolve_budgets(config)
     report = simulate(budgets, catalog, config.alpha)
@@ -322,6 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = make_config(args)
         return args.func(config)
-    except (UsageError, CatalogError, TraceError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # UsageError, CatalogError and TraceError too
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -46,6 +46,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from ._tolerance import COUNT_SLACK
+from .allocator import _check_budget
 
 IRRADIANCE = "irradiance"
 BUDGET = "budget"
@@ -356,12 +357,6 @@ def synth_trace(
         rng = np.random.default_rng(seed)
         values = values * rng.uniform(1.0 - noise, 1.0 + noise, size=len(values))
     return HarvestTrace(hours * 3600.0, values, IRRADIANCE)
-
-
-def _check_budget(budget) -> None:
-    """Raise ValueError unless budget is finite and >= 0."""
-    if not (math.isfinite(budget) and budget >= 0):
-        raise ValueError(f"budget {np.asarray(budget).item()!r} must be finite and >= 0")
 
 
 def _check_series(starts: np.ndarray, budgets: np.ndarray) -> None:

@@ -34,12 +34,11 @@ from ._tolerance import (
     REDUCED_COST_TOL,
     TIE_RTOL,
 )
+from .allocator import INFEASIBLE, OPTIMAL
 
 LE = "le"
 EQ = "eq"
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 

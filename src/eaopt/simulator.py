@@ -5,6 +5,11 @@ single-mode baseline for the same budgets, and aggregates normalized
 performance ratios.  Periods are independent (no energy rollover), so
 records preserve input order and the whole run is reproducible.
 
+This module holds the array form of the allocator's closed form: _solve
+and _baselines read the catalog's segment table into numpy arrays once
+per simulation and solve every budget at once, by the operations
+allocator._decide runs on one budget in Python floats, in the same order.
+
 A SimulationReport keeps its periods as arrays.  It is also a sequence
 of its PeriodRecords, which are built on first access; len() and the
 writers read the arrays and build none.  sweep_budget returns the report
@@ -29,10 +34,88 @@ import numpy as np
 
 from ._table import float_words, write_rows, write_table
 from ._tolerance import COUNT_SLACK
-from .allocator import Allocation, _allocations, _baselines, _check_inputs, _solve
+from .allocator import INFEASIBLE, OPTIMAL, Allocation, _below_floor, _check_inputs, _Segments
 from .catalog import Catalog
 from .harvest import BudgetSeries, _check_series
-from .lp_core import INFEASIBLE, OPTIMAL
+
+
+def _split(power: np.ndarray, budgets: np.ndarray, period: float, left, right) -> np.ndarray:
+    """Seconds on mode right of the schedules that mix modes left and
+    right to spend each budget: t_right = (budget - p_left T) /
+    (p_right - p_left), clipped to [0, T]; mode left runs the rest.  A
+    quotient that overflows to inf clips to T."""
+    p_left = power[left]
+    with np.errstate(over="ignore"):
+        t_right = (budgets - p_left * period) / (power[right] - p_left)
+    return np.minimum(np.maximum(t_right, 0.0, out=t_right), period, out=t_right)
+
+
+def _readings(weight: np.ndarray, left, right, t_right, period: float) -> np.ndarray:
+    """Rows objective, expected_accuracy, active_fraction and
+    energy_used of each schedule that runs mode left for T - t_right
+    seconds and mode right for t_right: one expression over the (4, N+1)
+    weight rows of a table.  The arrays broadcast to one shape, one entry
+    per schedule.  Only the two mixed modes take part, so a reading does
+    not depend on how many schedules are solved together."""
+    readings = weight[..., left] * (period - t_right) + weight[..., right] * t_right
+    readings[:3] /= period
+    return readings
+
+
+def _solve(table: _Segments, period: float, budgets: np.ndarray):
+    """The optimal schedules, one per budget: (P, N+1) seconds per mode,
+    off last, their (4, P) readings, and the (P,) mask of budgets below
+    the keep-alive floor.  The mean power budget/period falls on one
+    envelope segment (left, right), which _split shares out.  A budget
+    below the floor is below p_off T, so it falls on the first segment,
+    off to the next vertex, and t_right clips to 0: the mask sets only the
+    status.  allocator._decide is the same solve for one budget."""
+    weight = np.array(table.weights)
+    power = weight[3]
+    off = power.size - 1
+    if len(table.hull) == 1:  # every utility is 0: stay off
+        left, right = np.full((2, budgets.size), off)
+        t_right = np.zeros(budgets.size)
+    else:
+        # Searching the inner vertices gives the segment index; budgets
+        # past either end fall on the end segments and clip there.  A
+        # mean power that overflows to inf falls past every vertex.
+        with np.errstate(over="ignore"):
+            mean_power = budgets / period
+        seg = np.searchsorted(table.inner, mean_power, side="right")
+        hull = np.array(table.hull)
+        left, right = hull[seg], hull[seg + 1]
+        t_right = _split(power, budgets, period, left, right)
+    rows = np.arange(budgets.size)
+    seconds = np.zeros((budgets.size, off + 1))
+    seconds[rows, left] = period - t_right
+    seconds[rows, right] += t_right
+    below = _below_floor(budgets, period, power[off])
+    return seconds, _readings(weight, left, right, t_right, period), below
+
+
+def _baselines(table: _Segments, period: float, budgets: np.ndarray):
+    """The static schedules: (P, N) seconds on each design point, off for
+    the rest of the period, and their (4, P, N) readings.  Design point k
+    is _split on the segment (off, k), which spends nothing on k below the
+    keep-alive floor."""
+    weight = np.array(table.weights)
+    n = weight.shape[1] - 1
+    off, dps = np.full((1, 1), n), np.arange(n)[None, :]
+    t = _split(weight[3], budgets[:, None], period, off, dps)
+    return t, _readings(weight, off, dps, t, period)
+
+
+def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
+    """Allocation objects from (P, len(dp_ids)) times and (P,) columns."""
+    return [
+        Allocation(dp_ids, tuple(t), off, objective, accuracy, active, energy,
+                   INFEASIBLE if below else OPTIMAL)
+        for t, off, objective, accuracy, active, energy, below in zip(
+            times.tolist(), off_time.tolist(), *(r.tolist() for r in readings),
+            infeasible.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,7 +263,7 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     _check_inputs(period_length, alpha, catalog, lambda: _check_series(starts, column))
     table = catalog._segments(alpha)
     seconds, readings, infeasible = _solve(table, period_length, column)
-    static_t, static_readings = _baselines(table, period_length, column, infeasible)
+    static_t, static_readings = _baselines(table, period_length, column)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length

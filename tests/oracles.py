@@ -10,6 +10,10 @@ each ratio recomputed from the record's objectives, and
 reference_sweep_csv and reference_alpha_sweep_csv write the two sweep
 CSVs cell by cell; the column writers in eaopt.simulator must give the
 same bytes.
+
+numpy_envelope finds the rising upper concave envelope with numpy's
+stable argsort and running maximum, the reference for the allocator's
+pure-Python one.
 """
 
 from __future__ import annotations
@@ -78,6 +82,29 @@ def _feasible(rows, x) -> bool:
         if sense == "eq" and abs(lhs - rhs) > slack:
             return False
     return True
+
+
+def numpy_envelope(power: np.ndarray, utility: np.ndarray) -> tuple[int, ...]:
+    """Modes on the rising upper concave envelope of (power, utility),
+    cheapest first, by numpy: a stable argsort by power, a running maximum
+    of utility, then Andrew's monotone chain."""
+    order = np.argsort(power, kind="stable")
+    ranked = utility[order]
+    rises = np.empty(order.size, dtype=bool)
+    rises[0] = True
+    np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=rises[1:])
+    kept = order[rises].tolist()
+    px, uy = power[kept].tolist(), utility[kept].tolist()
+    hull: list[int] = []
+    for k in range(len(kept)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (px[a] - px[o]) * (uy[k] - uy[o]) - (uy[a] - uy[o]) * (px[k] - px[o])
+            if cross < 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return tuple(kept[k] for k in hull)
 
 
 def random_feasible_bounded_lp(rng: np.random.Generator):

@@ -20,8 +20,9 @@ from eaopt.allocator import (
     _ALPHA_MEMO,
     Allocation,
     AllocationProblem,
+    _envelope,
+    _rows,
     _segments,
-    _solve,
     build_problem,
     envelope_oracle,
     optimize_allocation,
@@ -31,8 +32,14 @@ from eaopt.allocator import (
 from eaopt.catalog import Catalog, DesignPoint, builtin_table1, validate_catalog
 from eaopt.harvest import BudgetSeries
 from eaopt.lp_core import INFEASIBLE, OPTIMAL, solve_lp
-from eaopt.simulator import report_to_csv, report_to_json, simulate, sweep_alpha, sweep_budget
-from oracles import degenerate_cases, every_scale_cases, highs_objective, random_catalog
+from eaopt.simulator import _solve, report_to_csv, report_to_json, simulate, sweep_alpha, sweep_budget
+from oracles import (
+    degenerate_cases,
+    every_scale_cases,
+    highs_objective,
+    numpy_envelope,
+    random_catalog,
+)
 
 PERIOD = 3600.0
 
@@ -470,6 +477,53 @@ class TestEngineProperties:
             assert allocation.status == (INFEASIBLE if below[k] else OPTIMAL)
 
 
+# Powers and utilities from small grids, so that equal powers, equal
+# utilities, exact twins and collinear vertices are common.
+_GRID_POINTS = st.lists(st.tuples(st.sampled_from([1e-4, 1e-3, 2e-3, 3e-3, 4e-3]),
+                                  st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                        min_size=1, max_size=9)
+
+
+class TestPurePythonTable:
+    """The segment table is built in Python floats; numpy's stable argsort
+    and running maximum, in oracles.numpy_envelope, are the reference for
+    its envelope."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(degenerate_cases(), every_scale_cases()))
+    @example(case=(Catalog((DesignPoint(1, "A", 0.5, 1e-3), DesignPoint(2, "B", 0.9, 1e-3),
+                            DesignPoint(3, "C", 0.9, 1e-3), DesignPoint(4, "D", 0.9, 2e-3)),
+                           0.0), 3600.0, [1.0], 0.0))
+    def test_envelope_equals_the_numpy_reference(self, case):
+        catalog, _, _, alpha = case
+        accuracy, _, power, order = _rows(catalog.design_points, catalog.off_power)
+        table_utility = list(catalog._segments(alpha).weights[0])
+        numpy_utility = (np.array(accuracy) ** float(alpha)).tolist()
+        for utility in (table_utility, numpy_utility):
+            utility[-1] = 0.0
+            assert _envelope(power, utility, order) == numpy_envelope(np.array(power),
+                                                                      np.array(utility))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=_GRID_POINTS)
+    def test_envelope_of_tied_points_equals_the_numpy_reference(self, points):
+        power, utility = (list(column) for column in zip(*points))
+        order = sorted(range(len(power)), key=power.__getitem__)
+        assert _envelope(power, utility, order) == numpy_envelope(np.array(power),
+                                                                  np.array(utility))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(degenerate_cases(), every_scale_cases()))
+    def test_utilities_are_spelled_as_the_oracles_spell_them(self, case):
+        """The table's utilities are dp.accuracy ** alpha in Python floats,
+        as envelope_oracle and build_problem compute them, to the bit."""
+        catalog, _, _, alpha = case
+        utility = catalog._segments(alpha).weights[0]
+        assert _float_bits(utility[:-1]) == _float_bits(
+            [dp.accuracy ** alpha for dp in catalog])
+        assert _float_bits(utility[-1:]) == _float_bits([0.0])
+
+
 def _running(catalog, period, alpha, budget) -> set:
     """Ids of the modes optimize_allocation gives time to, None for off."""
     allocation = optimize_allocation(AllocationProblem(period, budget, alpha, catalog))
@@ -625,9 +679,9 @@ class TestCatalogCache:
         assert optimize_allocation(problem(5.0, catalog=catalog)) == before
 
     def test_tables_share_the_rows_alpha_does_not_change(self):
-        """The accuracy, active and power rows are built once per catalog,
-        as tuples the cache's partial binds; every table holds those
-        same objects."""
+        """The accuracy, active and power rows, and the modes in power
+        order, are built once per catalog, as tuples the cache's partial
+        binds; every table holds those same rows."""
         catalog = builtin_table1()
         bound = catalog._segments.__wrapped__
         assert bound.func is _segments and not bound.keywords
@@ -635,6 +689,7 @@ class TestCatalogCache:
             tuple(dp.accuracy for dp in catalog) + (0.0,),
             (1.0,) * len(catalog) + (0.0,),
             tuple(dp.power for dp in catalog) + (catalog.off_power,),
+            (5, 4, 3, 2, 1, 0),  # off, then DP5 up to DP1
         )
         for alpha in (0.0, 1.0, 2.0):
             weights = catalog._segments(alpha).weights

@@ -12,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from eaopt import cli
+from eaopt import simulator
 from eaopt.catalog import builtin_table1, serialize_catalog
 from eaopt.cli import RunConfig, load_config_file, main, make_config
 from eaopt.harvest import BudgetSeries, PanelModel, budget_series_to_csv, synth_trace, trace_to_budgets
@@ -285,7 +285,7 @@ class TestSimulate:
             tracemalloc.start()
             return report
 
-        monkeypatch.setattr(cli, "simulate", traced_simulate)
+        monkeypatch.setattr(simulator, "simulate", traced_simulate)
         path = tmp_path / "report.json"
         try:
             code, _, _ = run(capsys, "simulate", "--trace", "synth:1d", "--output", str(path))
