@@ -15,13 +15,15 @@ JSON: it spells each distinct bit pattern once and gathers the words back
 into place.  Half the periods of a simulated year are the same zero-budget
 night, so most cells repeat.
 
-numpy is imported by float_words and write_rows only, when they are
-called: read_table, and so loading a catalog, runs without it.
+numpy is imported by float_words only, when it is called: read_table, and
+so loading a catalog, runs without it, and so does write_rows when no
+column is a numpy array, as in a catalog's text.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 
 def read_table(source, header: str, parse, error: type[Exception]):
@@ -97,12 +99,12 @@ def write_rows(columns: list) -> str:
 
     The float64 array columns are spelled together by float_words, as repr
     spells each value.  Any other column's cells go through %s: an int as
-    its str, a word, a label or "" as itself."""
-    import numpy as np
-
+    its str, a word, a label or "" as itself.  No column can be an array
+    before numpy is loaded, so this imports numpy only through float_words."""
+    np = sys.modules.get("numpy")
     columns = list(columns)
-    floats = [k for k, c in enumerate(columns)
-              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    floats = [] if np is None else [k for k, c in enumerate(columns)
+                                    if isinstance(c, np.ndarray) and c.dtype == np.float64]
     if floats:
         words = float_words(np.stack([columns[k] for k in floats])).tolist()
         for k, column in zip(floats, words):

@@ -15,7 +15,11 @@ plus an energy inequality).  Its optimum is the rising upper concave
 envelope of {(off_power, 0)} and the (power, accuracy**alpha) points,
 evaluated at the mean power budget/T, so at most two modes are ever
 active: the envelope vertices on either side of budget/T, or the top
-vertex alone once the budget covers its power.  Every schedule here is
+vertex alone once the budget covers its power.  A mode that lies on the
+straight line between its two neighbouring envelope vertices is not a
+vertex: the envelope keeps the fewest vertices, so a budget between the
+neighbours mixes just those two and the schedule switches modes as
+seldom as it can.  Every schedule here is
 one closed form: mode right runs for
 t_right = clip((budget - p_left T) / (p_right - p_left), 0, T) seconds
 and mode left for the rest.  The optimum takes (left, right) to be the
@@ -187,7 +191,10 @@ def _segments(accuracy: tuple[float, ...], active: tuple[float, ...],
 def _envelope(power, utility, order) -> tuple[int, ...]:
     """Modes on the rising upper concave envelope of (power, utility),
     cheapest first; the off state, the cheapest mode, is always the first.
-    order lists the modes by power, those of equal power in catalog order."""
+    order lists the modes by power, those of equal power in catalog order.
+    A mode on the line between its neighbours (cross == 0) is dropped, so
+    the envelope has the fewest vertices and a schedule the fewest
+    switches."""
     # A mode that does not raise the best utility of the cheaper ones is
     # never optimal, so of modes of equal power the first with the highest
     # utility survives.  The survivors rise in utility.

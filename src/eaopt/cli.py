@@ -199,25 +199,30 @@ _SYNTH_RE = re.compile(r"synth:(\d+)d")
 
 
 def _resolve_budgets(config: RunConfig) -> BudgetSeries:
-    from .harvest import PanelModel, load_trace, synth_trace, trace_to_budgets
+    from .harvest import PanelModel, _file_budgets, load_trace, synth_trace, trace_to_budgets
 
     if config.trace is None:
         raise UsageError("--trace is required")
-    if config.trace.startswith("synth:"):
-        match = _SYNTH_RE.fullmatch(config.trace)
-        if not match:
-            raise UsageError(f"bad synthetic trace spec {config.trace!r} (want synth:<days>d)")
-        trace = synth_trace(
-            days=int(match.group(1)),
-            peak_irradiance=config.synth_peak,
-            day_length_fraction=config.synth_day_fraction,
-            noise=config.synth_noise,
-            seed=config.synth_seed,
-        )
-    else:
-        trace = load_trace(config.trace)
-    panel = PanelModel(config.panel_area, config.panel_efficiency, config.budget_cap)
-    return trace_to_budgets(trace, panel, config.period)
+    panel_args = (config.panel_area, config.panel_efficiency, config.budget_cap)
+    if not config.trace.startswith("synth:"):
+        try:
+            panel = PanelModel(*panel_args)
+        except ValueError:
+            load_trace(config.trace)  # a bad trace is reported before a bad panel
+            raise
+        # The file is streamed into budgets, never held as a trace.
+        return _file_budgets(config.trace, panel, config.period)
+    match = _SYNTH_RE.fullmatch(config.trace)
+    if not match:
+        raise UsageError(f"bad synthetic trace spec {config.trace!r} (want synth:<days>d)")
+    trace = synth_trace(
+        days=int(match.group(1)),
+        peak_irradiance=config.synth_peak,
+        day_length_fraction=config.synth_day_fraction,
+        noise=config.synth_noise,
+        seed=config.synth_seed,
+    )
+    return trace_to_budgets(trace, PanelModel(*panel_args), config.period)
 
 
 def _emit(pieces, output: str | None) -> None:

@@ -408,7 +408,7 @@ def _record_template(dp_ids: tuple[int, ...], status: str) -> tuple[str, str]:
 
 
 # How many period records _json_chunks joins into one chunk.
-_CHUNK_PERIODS = 1024
+_CHUNK_PERIODS = 256
 
 
 def report_to_json(report: SimulationReport) -> str:
@@ -419,8 +419,9 @@ def report_to_json(report: SimulationReport) -> str:
 
 def _json_chunks(report: SimulationReport):
     """report_to_json's text in pieces: the aggregates, the records
-    _CHUNK_PERIODS at a time, then the closing brackets, so that a writer
-    never holds the whole text.
+    _CHUNK_PERIODS at a time with a ",\\n" piece of its own between each
+    two chunks (so that no chunk is copied to prefix it), then the closing
+    brackets, so that a writer never holds the whole text.
 
     Everything in a record after "start" is a function of the row's
     floats, its infeasible flag and its defined mask, so each chunk renders
@@ -466,7 +467,9 @@ def _json_chunks(report: SimulationReport):
         ]
         starts = float_words(c.starts[lo:hi], json.dumps).tolist()
         rows = zip(range(lo, hi), starts, map(tails.__getitem__, inverse.reshape(-1).tolist()))
-        yield (",\n" if lo else "") + ",\n".join(map(record.__mod__, rows))
+        if lo:
+            yield ",\n"
+        yield ",\n".join(map(record.__mod__, rows))
     yield "\n  ]\n}\n"
 
 

@@ -11,6 +11,9 @@ reference_sweep_csv and reference_alpha_sweep_csv write the two sweep
 CSVs cell by cell; the column writers in eaopt.simulator must give the
 same bytes.
 
+one_shot_budgets and one_shot_rebin turn a trace into budgets over the
+whole trace at once, the references for the blocked conversion.
+
 numpy_envelope finds the rising upper concave envelope with numpy's
 stable argsort and running maximum, the reference for the allocator's
 pure-Python one.
@@ -271,6 +274,23 @@ def one_shot_budgets(trace, panel, period_length: float) -> np.ndarray:
     sample = np.searchsorted(times, cuts[:-1], side="right") - 1
     period = np.searchsorted(edges, cuts[:-1], side="right")
     budgets = np.bincount(period, weights=power[sample] * np.diff(cuts), minlength=n)
+    if panel.budget_cap is not None:
+        budgets = np.minimum(budgets, panel.budget_cap)
+    return budgets
+
+
+def one_shot_rebin(trace, panel, period_length: float) -> np.ndarray:
+    """Budget-mode samples summed into their periods over the whole trace
+    at once, with no blocks: the reference that trace_to_budgets' blocked
+    re-binning must match bit for bit, cap included.  Each sample goes to
+    the last period start at or before it, and one bincount sums every
+    period's samples in time order."""
+    times = trace.times
+    t0 = float(times[0])
+    n = int((float(times[-1]) - t0) // period_length) + 2
+    starts = t0 + period_length * np.arange(n)
+    index = np.searchsorted(starts, times, side="right") - 1
+    budgets = np.bincount(index, weights=trace.values)
     if panel.budget_cap is not None:
         budgets = np.minimum(budgets, panel.budget_cap)
     return budgets

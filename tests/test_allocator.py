@@ -346,6 +346,26 @@ class TestTieRule:
         allocation = optimize_allocation(AllocationProblem(PERIOD, 50.0, 1.0, catalog))
         assert allocation.times == (0.0, PERIOD, 0.0)
 
+    def test_collinear_modes_are_not_vertices(self):
+        # Off, DP1, DP2 and DP3 lie on one line at alpha = 1: the envelope
+        # keeps only its ends, so 5.4 J runs DP3 alone and never switches
+        # through DP1 or DP2, though mixing them scores the same.
+        catalog = Catalog(
+            (
+                DesignPoint(1, "A", 0.25, 1e-3),
+                DesignPoint(2, "B", 0.5, 2e-3),
+                DesignPoint(3, "C", 1.0, 4e-3),
+            ),
+            0.0,
+        )
+        allocation = optimize_allocation(AllocationProblem(PERIOD, 5.4, 1.0, catalog))
+        assert allocation.times == (0.0, 0.0, 1350.0)
+        assert allocation.objective == 0.375
+        report = simulate(BudgetSeries(PERIOD, np.array([0.0]), np.array([5.4])), catalog, 1.0)
+        assert report.columns.seconds[0, :3].tolist() == [0.0, 0.0, 1350.0]
+        assert report.columns.readings[0].tolist() == [0.375]
+        assert regime_map(catalog, 1.0, PERIOD) == [(0.0, (None, 3)), (14.4, (3,))]
+
 
 def _allocator_objective(prob: AllocationProblem) -> float:
     return optimize_allocation(prob).objective

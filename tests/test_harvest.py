@@ -1,6 +1,8 @@
 """Trace parsing, budget conversion, and synthetic-trace tests."""
 
 import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from eaopt.harvest import (
     synth_trace,
     trace_to_budgets,
 )
-from oracles import one_shot_budgets
+from oracles import one_shot_budgets, one_shot_rebin
 
 PANEL = PanelModel(area=2e-3, efficiency=0.15)
 HOUR = 3600.0
@@ -246,9 +248,10 @@ class TestIrradianceIntegration:
 
 @st.composite
 def blocked_cases(draw):
-    """An irradiance trace, a panel and a period: samples on period edges
-    (t0 + T * k, as the grid lays them out) and between them, a single
-    sample, short and long last holds, zero values, and the cap on or off."""
+    """A trace of either mode, a panel and a period: samples on period
+    edges (t0 + T * k, as the grid lays them out) and between them, a
+    single sample, short and long last holds, zero values, and the cap on
+    or off."""
     t0 = draw(st.sampled_from([0.0, -5000.0, 123.456, 1e9]))
     period = draw(st.one_of(st.sampled_from([3600.0, 900.0, 61.3, 1.0]),
                             st.floats(0.5, 1e4)))
@@ -264,23 +267,40 @@ def blocked_cases(draw):
     )))
     cap = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
     panel = PanelModel(area=draw(st.sampled_from([2e-3, 0.37])), budget_cap=cap)
-    return HarvestTrace(times, values, IRRADIANCE), panel, period
+    mode = draw(st.sampled_from([IRRADIANCE, BUDGET]))
+    return HarvestTrace(times, values, mode), panel, period
+
+
+def one_shot(trace, panel, period):
+    """The budgets of the trace over the whole trace at once, in its mode."""
+    return (one_shot_budgets if trace.mode == IRRADIANCE else one_shot_rebin)(trace, panel, period)
+
+
+# starts = t0 + T * k rounds to the same value for runs of k.
+ROUNDED_GRID = (np.array([1e9, 1e9 + 3.6e-7]), np.array([5.0, 7.0]))
+# The last hold ends a sliver (within COUNT_SLACK) past the grid's last
+# edge: the last period, which takes it, must stay open to the end.
+SLIVER = (np.array([0.0, HOUR, HOUR + 1e-7]), np.array([3.0, 1.0, 2.0]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=blocked_cases())
-# starts = t0 + T * k rounds to the same value for runs of k.
-@example(case=(HarvestTrace(np.array([1e9, 1e9 + 3.6e-7]), np.array([5.0, 7.0]), IRRADIANCE),
-               PANEL, 1e-9))
+@example(case=(HarvestTrace(*ROUNDED_GRID, IRRADIANCE), PANEL, 1e-9))
+@example(case=(HarvestTrace(*ROUNDED_GRID, BUDGET), PANEL, 1e-9))
 @example(case=(HarvestTrace(np.array([0.0]), np.array([3.0]), IRRADIANCE), PANEL, 7.0))
+@example(case=(HarvestTrace(np.array([0.0]), np.array([3.0]), BUDGET), PANEL, 7.0))
+@example(case=(HarvestTrace(*SLIVER, IRRADIANCE), PANEL, HOUR))
 def test_blocked_integration_is_the_one_shot_integration(case):
-    """Integrated a block of periods at a time, every budget is bit for bit
-    the one integrated over the whole trace at once, at any block size."""
+    """Fed a block of samples and closed a block of periods at a time,
+    every budget is bit for bit the one found over the whole trace at
+    once, in either mode, at any block sizes."""
     trace, panel, period = case
-    expected = one_shot_budgets(trace, panel, period)
-    for size in (1, 2, harvest._BLOCK_PERIODS):
+    expected = one_shot(trace, panel, period)
+    for size, rows in [(1, 1), (2, 3), (1, harvest._BLOCK_ROWS), (harvest._BLOCK_PERIODS, 1),
+                       (harvest._BLOCK_PERIODS, harvest._BLOCK_ROWS)]:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harvest, "_BLOCK_PERIODS", size)
+            patch.setattr(harvest, "_BLOCK_ROWS", rows)
             series = trace_to_budgets(trace, panel, period)
         assert series.budgets.tobytes() == expected.tobytes()
         assert len(series.starts) == len(expected)
@@ -299,15 +319,20 @@ def test_year_is_integrated_in_blocks_as_at_once():
         assert series.budgets.tobytes() == one_shot_budgets(minutes, panel, period).tobytes()
 
 
-def test_integration_holds_one_block_at_a_time():
+@pytest.mark.parametrize("mode", [IRRADIANCE, BUDGET])
+def test_integration_holds_one_block_at_a_time(mode):
     """trace_to_budgets on 100k minute samples at ten samples a period (ten
     blocks): tracemalloc's peak stays below the bytes of the trace's own
     arrays.  Integrating the whole trace at once holds its cuts, their sort
-    and their sample and period indices, about three times those bytes."""
+    and their sample and period indices, about three times those bytes;
+    re-binning it at once holds a sample index and a copy of each column.
+    The times and values are the column views of one table that load_trace
+    gives."""
     rng = np.random.default_rng(3)
     rows = 100_000
     day = np.arange(rows) % 1440 < 720
-    trace = HarvestTrace(60.0 * np.arange(rows), rng.uniform(0, 12, rows) * day, IRRADIANCE)
+    table = np.column_stack([60.0 * np.arange(rows), rng.uniform(0, 12, rows) * day])
+    trace = HarvestTrace(*table.T, mode)
     tracemalloc.start()
     try:
         series = trace_to_budgets(trace, PANEL, 600.0)
@@ -316,6 +341,158 @@ def test_integration_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert len(series) == rows // 10
     assert peak < trace.times.nbytes + trace.values.nbytes
+
+
+def write_trace_file(path, trace):
+    """The trace as a CSV file with every float spelled by repr, so that
+    it reads back exactly."""
+    rows = zip(map(repr, trace.times.tolist()), map(repr, trace.values.tolist()))
+    path.write_text(trace_text(trace.mode, rows))
+    return path
+
+
+def no_fallback(*args):
+    raise AssertionError("the file went to load_trace")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocked_cases())
+@example(case=(HarvestTrace(np.array([5.0]), np.array([3.0]), IRRADIANCE), PANEL, 7.0))
+@example(case=(HarvestTrace(np.array([5.0]), np.array([3.0]), BUDGET), PANEL, 7.0))
+@example(case=(HarvestTrace(np.array([0.0, 3600.0]), np.array([3.0, 1.0]), IRRADIANCE),
+               PanelModel(budget_cap=1.0), HOUR))
+@example(case=(HarvestTrace(np.array([0.0, 3600.0]), np.array([3.0, 1.0]), BUDGET),
+               PanelModel(budget_cap=1.0), HOUR))
+@example(case=(HarvestTrace(*ROUNDED_GRID, IRRADIANCE), PANEL, 1e-9))
+@example(case=(HarvestTrace(*SLIVER, IRRADIANCE), PANEL, HOUR))
+def test_trace_file_streams_into_the_budgets_of_its_trace(case, tmp_path_factory):
+    """A trace file parsed a block of rows at a time, each block fed
+    straight into the budgets, gives the starts and budgets of
+    trace_to_budgets(load_trace(path)) bit for bit, at any parse block
+    size, and a clean file never falls back to load_trace."""
+    trace, panel, period = case
+    path = write_trace_file(tmp_path_factory.getbasetemp() / "streamed.csv", trace)
+    expected = trace_to_budgets(load_trace(path), panel, period)
+    for rows in (1, 2, 7, harvest._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harvest, "_BLOCK_ROWS", rows)
+            patch.setattr(harvest, "load_trace", no_fallback)
+            series = harvest._file_budgets(path, panel, period)
+        assert series.period_length == period
+        assert series.starts.tobytes() == expected.starts.tobytes()
+        assert series.budgets.tobytes() == expected.budgets.tobytes()
+
+
+@pytest.mark.parametrize("period", [5e-324, 1e-300])
+@pytest.mark.parametrize("mode", [IRRADIANCE, BUDGET])
+def test_file_period_too_short_for_the_grid(mode, period, tmp_path):
+    """A grid too large to count, or to stream, is left to trace_to_budgets,
+    which names the period length."""
+    path = write_trace_file(tmp_path / "trace.csv",
+                            HarvestTrace(np.array([0.0, 60.0]), np.array([1.0, 2.0]), mode))
+    with pytest.raises(TraceError, match=f"^period length {period!r}: too many periods$"):
+        harvest._file_budgets(path, PANEL, period)
+
+
+def minute_rows(count):
+    """count one-minute irradiance rows, day and night, as text pairs."""
+    values = np.where(np.arange(count) % 1440 < 720, 5.0 + np.arange(count) % 7, 0.0)
+    return [(str(60 * i), repr(v)) for i, v in enumerate(values.tolist())]
+
+
+LATE = 2 * harvest._BLOCK_ROWS + 123  # a row in the third parse block
+BOUNDARY = harvest._BLOCK_ROWS  # the first row of the second parse block
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(lambda rows: rows.__setitem__(LATE, (rows[LATE][0], "nan")),
+      f"line {LATE + 3}: non-finite value in row ({60.0 * LATE!r}, nan)"),
+     (lambda rows: rows.__setitem__(LATE, (rows[LATE][0], "-1.5")),
+      f"line {LATE + 3}: negative value -1.5"),
+     (lambda rows: rows.__setitem__(BOUNDARY, (rows[BOUNDARY - 1][0], "2.0")),
+      f"line {BOUNDARY + 3}: timestamp {60.0 * (BOUNDARY - 1)!r} not after previous "
+      f"{60.0 * (BOUNDARY - 1)!r}")],
+    ids=["nan", "negative-value", "equal-timestamp-across-blocks"],
+)
+def test_fault_in_a_late_block_raises_load_traces_error(fault, message, tmp_path):
+    rows = minute_rows(3 * harvest._BLOCK_ROWS)
+    fault(rows)
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(IRRADIANCE, rows))
+    for read in (lambda: load_trace(path), lambda: harvest._file_budgets(path, PANEL, HOUR)):
+        with pytest.raises(TraceError) as excinfo:
+            read()
+        assert str(excinfo.value) == message
+
+
+FILE_SPELLINGS = {
+    # Only the read_table loop reads these: _file_budgets falls back.
+    "blank-line": lambda text: text.replace("\n600,", "\n\n600,"),
+    "inline-comment": lambda text: text.replace("\n600,", " # noon\n600,"),
+    "underscore": lambda text: text.replace("\n600,", "\n6_00,"),
+    "underscore-only-row": lambda text: text[: text.index("\n0,")] + "\n0,1_000\n",
+    "lone-cr": lambda text: text.replace("\n600,", "\r600,"),
+    "bad-units": lambda text: text.replace("#mode: irradiance", "#mode: irradiance\n#units: J"),
+    # np.loadtxt reads a CRLF file a block at a time: it streams.
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(FILE_SPELLINGS))
+def test_file_spellings_give_load_traces_budgets(name, tmp_path, monkeypatch):
+    """Every file gives the budgets, or the error text, of
+    trace_to_budgets(load_trace(path)), streamed or through the fallback."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(FILE_SPELLINGS[name](trace_text(IRRADIANCE, minute_rows(40))).encode())
+    monkeypatch.setattr(harvest, "_BLOCK_ROWS", 7)
+    try:
+        expected = trace_to_budgets(load_trace(path), PANEL, 900.0).budgets.tobytes()
+    except TraceError as exc:
+        expected = str(exc)
+    if name == "crlf":
+        monkeypatch.setattr(harvest, "load_trace", no_fallback)
+    try:
+        got = harvest._file_budgets(path, PANEL, 900.0).budgets.tobytes()
+    except TraceError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_is_read_once_into_budgets(tmp_path):
+    """A path that cannot seek is read once, as load_trace reads it."""
+    text = trace_text(IRRADIANCE, minute_rows(40))
+    pipe = tmp_path / "trace.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        series = harvest._file_budgets(pipe, PANEL, 900.0)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = trace_to_budgets(load_trace(io.StringIO(text)), PANEL, 900.0)
+    assert series.budgets.tobytes() == expected.budgets.tobytes()
+
+
+def test_streamed_peak_does_not_grow_with_the_trace(tmp_path):
+    """tracemalloc's peak while a file of 400k rows is streamed into
+    budgets stays below 1.5 times the peak for 50k rows: only a block of
+    rows and the budgets are held, never the trace (6.4 MB of arrays at
+    400k rows)."""
+    peaks = []
+    for count in (50_000, 400_000):
+        path = tmp_path / f"trace{count}.csv"
+        path.write_text(trace_text(IRRADIANCE, minute_rows(count)))
+        tracemalloc.start()
+        try:
+            series = harvest._file_budgets(path, PANEL, HOUR)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(series) == -(-count // 60)
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestBudgetRebin:

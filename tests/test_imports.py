@@ -1,6 +1,6 @@
 """What the package imports, in fresh interpreters: one decision, the
-Pareto split and loading a catalog run without numpy, and the package's
-public names resolve lazily."""
+Pareto split and loading or writing a catalog run without numpy, and the
+package's public names resolve lazily."""
 
 import os
 import subprocess
@@ -50,6 +50,16 @@ def test_loading_a_catalog_imports_no_numpy(tmp_path):
     code = f"import eaopt; eaopt.builtin_table1(); eaopt.load_catalog({str(path)!r})"
     modules = _imported(["-c", code], tmp_path)
     assert "eaopt._table" in modules  # imported by eaopt.catalog
+    assert _numpy(modules) == []
+
+
+def test_writing_a_catalog_imports_no_numpy(tmp_path):
+    """serialize_catalog writes text columns only, through the same row
+    writer as the reports."""
+    code = ("import sys, eaopt; text = eaopt.serialize_catalog(eaopt.builtin_table1()); "
+            "assert text.startswith('#'), text; assert 'numpy' not in sys.modules")
+    modules = _imported(["-c", code], tmp_path)
+    assert "eaopt._table" in modules
     assert _numpy(modules) == []
 
 

@@ -382,11 +382,14 @@ class TestJsonChunks:
         report = simulate(BudgetSeries(HOUR, HOUR * np.arange(periods), budgets), CATALOG, 1.0)
         text = report_to_json(report)
         assert text == reference_report_json(report)
-        for size in (1, 2, 1024):
+        for size in (1, 2, simulator._CHUNK_PERIODS, 1024):
             monkeypatch.setattr(simulator, "_CHUNK_PERIODS", size)
             chunks = list(simulator._json_chunks(report))
-            # The head, one chunk per size records, then the closing brackets.
-            assert len(chunks) == 2 + math.ceil(periods / size)
+            # The head, one chunk per size records with a separator piece
+            # between each two, then the closing brackets.
+            count = math.ceil(periods / size)
+            assert len(chunks) == 2 * count + 1
+            assert chunks[2:-1:2] == [",\n"] * (count - 1)
             assert "".join(chunks) == text
             assert report_to_json(report) == text
 
