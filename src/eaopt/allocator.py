@@ -41,7 +41,11 @@ in Python floats, utilities by Python's **, as envelope_oracle and
 build_problem spell them, so this module imports no numpy: one decision
 through the CLI never loads it.  optimize_allocation and
 static_dp_allocation are one decision each, _decide: one bisect of the
-inner vertex powers, then the closed form on the table's floats.
+inner vertex powers, then the closed form on the table's floats; the
+static schedule of a design point is _decide on its two-vertex (off, dp)
+table, _static_table.  The CLI's budget sweep (_sweep.sweep_chunks) is
+_decide on every grid budget, on the catalog's table and on the static
+tables it builds once per sweep, so it runs without numpy too.
 simulate solves all its budgets with simulator._solve and
 simulator._baselines, which make numpy arrays of the same table once per
 call and run the same operations in the same order, so that both give
@@ -83,6 +87,14 @@ def _check_budget(budget) -> None:
     if not (math.isfinite(budget) and budget >= 0):
         value = budget.item() if hasattr(budget, "item") else budget
         raise ValueError(f"budget {value!r} must be finite and >= 0")
+
+
+def _check_start(start) -> None:
+    """Raise ValueError unless a period's start is finite, naming it as
+    _check_budget names a budget."""
+    if not math.isfinite(start):
+        value = start.item() if hasattr(start, "item") else start
+        raise ValueError(f"start {value!r} must be finite")
 
 
 def _check_inputs(period: float, alpha: float, catalog: Catalog, check_budgets=lambda: None) -> None:
@@ -220,10 +232,11 @@ def _envelope(power, utility, order) -> tuple[int, ...]:
 
 def _decide(table: _Segments, period: float, budget: float):
     """The optimal schedule of one budget, as simulator._solve finds it,
-    by the same operations in the same order on Python floats: its N+1
-    seconds per mode, off last, its four readings, and whether the budget
-    is below the keep-alive floor."""
-    hull, power = table.hull, table.weights[3]
+    by the same operations in the same order on Python floats: its N
+    seconds per design point, its off time, its four readings, and whether
+    the budget is below the keep-alive floor."""
+    hull = table.hull
+    utility, accuracy, active, power = table.weights
     off = len(power) - 1
     if len(hull) == 1:  # every utility is 0: stay off
         left = right = off
@@ -239,13 +252,25 @@ def _decide(table: _Segments, period: float, budget: float):
     # first segment, off to the next vertex, and t_right clips to 0: the
     # schedule is already all off.
     below = _below_floor(budget, period, power[off])
+    t_left = period - t_right
     seconds = [0.0] * (off + 1)
-    seconds[left] = period - t_right
+    seconds[left] = t_left
     seconds[right] += t_right
-    objective, accuracy, active, energy = (
-        row[left] * (period - t_right) + row[right] * t_right for row in table.weights
+    off_time = seconds.pop()
+    readings = (
+        (utility[left] * t_left + utility[right] * t_right) / period,
+        (accuracy[left] * t_left + accuracy[right] * t_right) / period,
+        (active[left] * t_left + active[right] * t_right) / period,
+        power[left] * t_left + power[right] * t_right,
     )
-    return seconds, (objective / period, accuracy / period, active / period, energy), below
+    return seconds, off_time, readings, below
+
+
+def _static_table(weights: tuple[tuple[float, ...], ...], k: int) -> _Segments:
+    """The segment (off, design point k) of a table's weight rows as a
+    two-vertex table, even where k's utility is 0: _decide on it is the
+    static schedule of k, as simulator._baselines splits the same segment."""
+    return _Segments((1, 0), (), tuple((row[k], row[-1]) for row in weights))
 
 
 def build_problem(problem: AllocationProblem) -> StandardFormLP:
@@ -273,9 +298,9 @@ def optimize_allocation(problem: AllocationProblem) -> Allocation:
     """Solve one period.  Infeasible only when the budget cannot cover
     the keep-alive floor off_power * period."""
     catalog = problem.catalog
-    seconds, readings, below = _decide(
+    seconds, off_time, readings, below = _decide(
         catalog._segments(problem.alpha), float(problem.period), float(problem.budget))
-    return Allocation(catalog.ids, tuple(seconds[:-1]), seconds[-1], *readings,
+    return Allocation(catalog.ids, tuple(seconds), off_time, *readings,
                       INFEASIBLE if below else OPTIMAL)
 
 
@@ -368,8 +393,7 @@ def static_dp_allocation(
     """
     _check_inputs(period, alpha, Catalog((dp,), off_power), lambda: _check_budget(budget))
     accuracy, active, power, _ = _rows((dp,), off_power)
-    # The segment (off, dp) as a two-vertex table, even where dp's
-    # utility is 0: simulator._baselines splits the same segment.
-    table = _Segments((1, 0), (), ((accuracy[0] ** float(alpha), 0.0), accuracy, active, power))
-    (t, off_time), readings, below = _decide(table, float(period), float(budget))
-    return Allocation((dp.id,), (t,), off_time, *readings, INFEASIBLE if below else OPTIMAL)
+    table = _static_table(((accuracy[0] ** float(alpha), 0.0), accuracy, active, power), 0)
+    seconds, off_time, readings, below = _decide(table, float(period), float(budget))
+    return Allocation((dp.id,), tuple(seconds), off_time, *readings,
+                      INFEASIBLE if below else OPTIMAL)

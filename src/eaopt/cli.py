@@ -10,21 +10,21 @@ optimize, --budget-range or --trace for sweep, --trace for simulate.
 Traces are CSV paths or synth:<N>d URIs for the built-in synthetic
 irradiance generator.
 
-optimize and pareto run without numpy: the commands that read a trace or
-solve an array of budgets import harvest and simulator, and with them
-numpy, in their own bodies.
+optimize, pareto and sweep --budget-range run without numpy: the
+commands that read a trace or solve an array of budgets import harvest
+and simulator, and with them numpy, in their own bodies.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._sweep import sweep_chunks
 from .allocator import INFEASIBLE, AllocationProblem, optimize_allocation
 from .catalog import Catalog, builtin_table1, load_catalog, pareto_partition, validate_catalog
 
@@ -235,6 +235,8 @@ def _emit(pieces, output: str | None) -> None:
 
 
 def cmd_optimize(config: RunConfig) -> int:
+    import json
+
     if config.budget is None:
         raise UsageError("optimize requires --budget")
     catalog = _resolve_catalog(config)
@@ -245,6 +247,8 @@ def cmd_optimize(config: RunConfig) -> int:
 
 
 def cmd_pareto(config: RunConfig) -> int:
+    import json
+
     catalog = _resolve_catalog(config)
     kept, removed = pareto_partition(catalog)
 
@@ -272,16 +276,17 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    from .simulator import alpha_sweep_to_csv, sweep_alpha, sweep_budget, sweep_to_csv
-
     if (config.budget_range is None) == (config.trace is None):
         raise UsageError("sweep requires exactly one of --budget-range or --trace")
     catalog = _resolve_catalog(config)
     if config.budget_range is not None:
         start, stop, step = _parse_range(config.budget_range)
-        report = sweep_budget(catalog, config.alpha, start, stop, step, config.period)
-        _emit([sweep_to_csv(report, catalog)], config.output)
+        # The rows are decided and written a chunk at a time, in floats.
+        _emit(sweep_chunks(catalog, config.alpha, start, stop, step, config.period),
+              config.output)
         return 0
+    from .simulator import alpha_sweep_to_csv, sweep_alpha
+
     if config.alpha_list is None:
         raise UsageError("sweep over a trace requires --alpha-list")
     try:

@@ -53,7 +53,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from ._tolerance import COUNT_SLACK
-from .allocator import _check_budget
+from .allocator import _check_budget, _check_start
 
 IRRADIANCE = "irradiance"
 BUDGET = "budget"
@@ -549,7 +549,7 @@ def _check_series(starts: np.ndarray, budgets: np.ndarray) -> None:
         raise ValueError(f"budget series has {starts.size} starts for {budgets.size} budgets")
     bad = ~np.isfinite(starts)
     if bad.any():
-        raise ValueError(f"start {starts[bad.argmax()].item()!r} must be finite")
+        _check_start(starts[bad.argmax()])
 
 
 def budget_series_to_csv(series: BudgetSeries) -> str:

@@ -13,7 +13,11 @@ allocator._decide runs on one budget in Python floats, in the same order.
 A SimulationReport keeps its periods as arrays.  It is also a sequence
 of its PeriodRecords, which are built on first access; len() and the
 writers read the arrays and build none.  sweep_budget returns the report
-of its grid, and sweep_to_csv renders it from the columns.
+of its grid, and sweep_to_csv renders it from the columns.  The grid is
+counted and the CSV headed by _sweep, whose sweep_chunks renders the same
+text in Python floats a chunk of rows at a time for `eaopt sweep
+--budget-range`, without numpy; a property test holds the two renderings
+byte-identical.
 
 When a static baseline scores zero for a period (the budget covers only
 the keep-alive floor, or nothing at all), or so little that the ratio
@@ -32,8 +36,8 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._sweep import grid_points, sweep_header
 from ._table import float_words, write_rows, write_table
-from ._tolerance import COUNT_SLACK
 from .allocator import INFEASIBLE, OPTIMAL, Allocation, _below_floor, _check_inputs, _Segments
 from .catalog import Catalog
 from .harvest import BudgetSeries, _check_series
@@ -294,28 +298,12 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
     )
 
 
-# The most points budget_grid makes: 8 MB of budgets, and one simulated
-# period each.
-_MAX_GRID_POINTS = 2**20
-
-
 def budget_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid start, start+step, ... up to stop, of at
-    most _MAX_GRID_POINTS points."""
-    spec = f"budget range {start!r}:{stop!r}:{step!r}"
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"{spec}: start, stop and step must be finite")
-    if step <= 0:
-        raise ValueError(f"{spec}: step must be > 0")
-    if stop < start:
-        raise ValueError(f"{spec}: stop must be >= start")
-    try:
-        points = math.floor((stop - start) / step + COUNT_SLACK) + 1
-    except OverflowError:  # the quotient overflowed to inf
-        points = math.inf
-    if points > _MAX_GRID_POINTS:
-        raise ValueError(f"{spec}: too many points at this step")
-    return start + step * np.arange(points)
+    most _sweep.MAX_GRID_POINTS points, counted by _sweep.grid_points."""
+    points = grid_points(start, stop, step)
+    with np.errstate(over="ignore"):  # simulate names a budget that overflows to inf
+        return start + step * np.arange(points)
 
 
 def sweep_budget(
@@ -329,8 +317,9 @@ def sweep_budget(
     """Optimizer and static baselines across a budget grid: the report of
     one simulation with one period per grid budget."""
     grid = budget_grid(start, stop, step)
-    series = BudgetSeries(period_length, period_length * np.arange(len(grid)), grid)
-    return simulate(series, catalog, alpha)
+    with np.errstate(over="ignore"):  # simulate names a start that overflows to inf
+        starts = period_length * np.arange(len(grid))
+    return simulate(BudgetSeries(period_length, starts, grid), catalog, alpha)
 
 
 @dataclass(frozen=True)
@@ -357,14 +346,11 @@ def sweep_to_csv(report: SimulationReport, catalog: Catalog) -> str:
         raise ValueError(
             f"catalog design points {catalog.ids} are not the report's {report.dp_ids}"
         )
-    metrics = ("objective", "expected_accuracy", "active_fraction")
     c = report.columns
-    cols = ["budget_j"] + [f"opt_{m}" for m in metrics]
     fill = [c.budget, *c.readings[:3]]
-    for k, dp_id in enumerate(report.dp_ids):
-        cols += [f"dp{dp_id}_{m}" for m in metrics]
+    for k in range(len(report.dp_ids)):
         fill += list(c.static_readings[:3, :, k])
-    return write_table(",".join(cols), fill)
+    return write_table(sweep_header(report.dp_ids), fill)
 
 
 def alpha_sweep_to_csv(points: list[AlphaPoint], catalog: Catalog) -> str:
@@ -425,8 +411,10 @@ def _json_chunks(report: SimulationReport):
 
     Everything in a record after "start" is a function of the row's
     floats, its infeasible flag and its defined mask, so each chunk renders
-    each of its distinct rows once; keying on bits keeps -0.0 apart from
-    0.0.  Only one chunk's rows and rendered tails are held at a time."""
+    each of its distinct rows once.  A dict keys each row on its bytes:
+    the floats' bits, which keep -0.0 apart from 0.0, and both masks, so
+    rows that share a budget but not their masks stay apart.  Only one
+    chunk's rows and rendered tails are held at a time."""
     c = report.columns
     periods = len(c.budget)
     head = {
@@ -458,15 +446,20 @@ def _json_chunks(report: SimulationReport):
         )
         infeasible, defined = c.infeasible[lo:hi], c.defined[lo:hi]
         keys = np.column_stack([floats.view(np.int64), infeasible, defined])
-        first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]
+        # A void view spells each row as one bytes object; each names the
+        # first row of the chunk with the same bytes.
+        seen: dict[bytes, int] = {}
+        rows_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+        firsts = [seen.setdefault(key, i) for i, key in enumerate(rows_bytes.ravel().tolist())]
+        first = list(seen.values())
         words = float_words(floats[first], json.dumps)
         words[:, -n:][~defined[first]] = "null"
-        tails = [
+        tails = dict(zip(first, [
             (infeasible_tail if below else optimal_tail) % tuple(row)
             for below, row in zip(infeasible[first].tolist(), words.tolist())
-        ]
+        ]))
         starts = float_words(c.starts[lo:hi], json.dumps).tolist()
-        rows = zip(range(lo, hi), starts, map(tails.__getitem__, inverse.reshape(-1).tolist()))
+        rows = zip(range(lo, hi), starts, map(tails.__getitem__, firsts))
         if lo:
             yield ",\n"
         yield ",\n".join(map(record.__mod__, rows))

@@ -1,6 +1,6 @@
 """What the package imports, in fresh interpreters: one decision, the
-Pareto split and loading or writing a catalog run without numpy, and the
-package's public names resolve lazily."""
+Pareto split, the budget sweep and loading or writing a catalog run
+without numpy, and the package's public names resolve lazily."""
 
 import os
 import subprocess
@@ -44,6 +44,13 @@ def test_single_decision_commands_import_no_numpy(command, tmp_path):
     assert _numpy(modules) == []
 
 
+def test_budget_sweep_imports_no_numpy(tmp_path):
+    """sweep --budget-range decides each budget in Python floats."""
+    modules = _imported(["-m", "eaopt", "sweep", "--budget-range", "0.18:10:0.1"], tmp_path)
+    assert "eaopt._sweep" in modules
+    assert _numpy(modules) == []
+
+
 def test_loading_a_catalog_imports_no_numpy(tmp_path):
     path = tmp_path / "catalog.csv"
     path.write_text(CATALOG)
@@ -66,6 +73,12 @@ def test_writing_a_catalog_imports_no_numpy(tmp_path):
 def test_simulate_imports_numpy(tmp_path):
     """The guard above can fail: a command that needs arrays shows numpy."""
     assert _numpy(_imported(["-m", "eaopt", "simulate", "--trace", "synth:1d"], tmp_path))
+
+
+def test_trace_sweep_imports_numpy(tmp_path):
+    """sweep over a trace still solves arrays of budgets."""
+    command = ["sweep", "--trace", "synth:1d", "--alpha-list", "1"]
+    assert _numpy(_imported(["-m", "eaopt", *command], tmp_path))
 
 
 class TestLazyPackage:
