@@ -6,7 +6,7 @@ simulator.sweep_to_csv renders that report; both count the grid with
 grid_points and head the CSV with sweep_header.  sweep_chunks decides
 each budget with allocator._decide, on the catalog's segment table and
 on each design point's two-vertex (off, dp) table, which gives the bits
-simulator._solve and simulator._baselines give, and write_rows spells
+simulator._solve and its static kernels give, and write_rows spells
 each float as repr, as float_words does.  So both renderings are the
 same text.  sweep_chunks holds one chunk of rows at a time, and its
 memory does not grow with the grid; the price is a Python loop per

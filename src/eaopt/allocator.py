@@ -47,9 +47,10 @@ table, _static_table.  The CLI's budget sweep (_sweep.sweep_chunks) is
 _decide on every grid budget, on the catalog's table and on the static
 tables it builds once per sweep, so it runs without numpy too.
 simulate solves all its budgets with simulator._solve and
-simulator._baselines, which make numpy arrays of the same table once per
-call and run the same operations in the same order, so that both give
-the same bits for one budget.  regime_map reads the same table.
+simulator._static_seconds, which make numpy arrays of the same table once
+per call and run the same operations in the same order, so that both give
+the same bits for one budget; simulator.sweep_alpha runs the same
+kernels.  regime_map reads the same table.
 
 Ties follow one rule.  Between modes of equal power the envelope keeps
 the higher utility, then the lower catalog index; between modes of
@@ -68,6 +69,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._tolerance import FLOOR_RTOL
 from .catalog import Catalog, DesignPoint
@@ -79,6 +81,9 @@ INFEASIBLE = "infeasible"
 # How many alpha values' segment tables a catalog keeps; the least
 # recently used is dropped to make room for a new one.
 _ALPHA_MEMO = 64
+
+# How many dp_ids tuples' JSON keys Allocation.to_dict keeps.
+_KEYS_MEMO = 64
 
 
 def _check_budget(budget) -> None:
@@ -144,7 +149,7 @@ class Allocation:
 
     def to_dict(self) -> dict:
         return {
-            "times": {str(i): t for i, t in zip(self.dp_ids, self.times)},
+            "times": dict(zip(_id_keys(self.dp_ids), self.times)),
             "off_time": self.off_time,
             "objective": self.objective,
             "expected_accuracy": self.expected_accuracy,
@@ -152,6 +157,13 @@ class Allocation:
             "energy_used": self.energy_used,
             "status": self.status,
         }
+
+
+@lru_cache(_KEYS_MEMO)
+def _id_keys(dp_ids: tuple[int, ...]) -> tuple[str, ...]:
+    """Each id as the str that keys it in Allocation.to_dict's times,
+    spelled once per dp_ids tuple."""
+    return tuple(map(str, dp_ids))
 
 
 def _below_floor(budget, period: float, off_power: float):
@@ -269,7 +281,7 @@ def _decide(table: _Segments, period: float, budget: float):
 def _static_table(weights: tuple[tuple[float, ...], ...], k: int) -> _Segments:
     """The segment (off, design point k) of a table's weight rows as a
     two-vertex table, even where k's utility is 0: _decide on it is the
-    static schedule of k, as simulator._baselines splits the same segment."""
+    static schedule of k, as simulator._static_seconds splits the same segment."""
     return _Segments((1, 0), (), tuple((row[k], row[-1]) for row in weights))
 
 

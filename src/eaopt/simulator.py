@@ -6,9 +6,12 @@ performance ratios.  Periods are independent (no energy rollover), so
 records preserve input order and the whole run is reproducible.
 
 This module holds the array form of the allocator's closed form: _solve
-and _baselines read the catalog's segment table into numpy arrays once
-per simulation and solve every budget at once, by the operations
-allocator._decide runs on one budget in Python floats, in the same order.
+and the static kernels read the catalog's segment table into numpy
+arrays once per simulation and solve every budget at once, by the
+operations allocator._decide runs on one budget in Python floats, in the
+same order.  sweep_alpha runs the same kernels: _segment's envelope solve
+and the objective row of _readings per alpha, on the static seconds that
+_static_seconds solves once per sweep, since they do not depend on alpha.
 
 A SimulationReport keeps its periods as arrays.  It is also a sequence
 of its PeriodRecords, which are built on first access; len() and the
@@ -32,6 +35,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -66,30 +70,36 @@ def _readings(weight: np.ndarray, left, right, t_right, period: float) -> np.nda
     return readings
 
 
+def _segment(table: _Segments, power: np.ndarray, period: float, budgets: np.ndarray):
+    """The envelope segment (left, right) of each budget's optimal
+    schedule, and its seconds t_right on mode right: the mean power
+    budget/period falls on one segment, which _split shares out.  power is
+    the table's power row as an array."""
+    if len(table.hull) == 1:  # every utility is 0: stay off
+        left, right = np.full((2, budgets.size), power.size - 1)
+        return left, right, np.zeros(budgets.size)
+    # Searching the inner vertices gives the segment index; budgets past
+    # either end fall on the end segments and clip there.  A mean power
+    # that overflows to inf falls past every vertex.
+    with np.errstate(over="ignore"):
+        mean_power = budgets / period
+    seg = np.searchsorted(table.inner, mean_power, side="right")
+    hull = np.array(table.hull)
+    left, right = hull[seg], hull[seg + 1]
+    return left, right, _split(power, budgets, period, left, right)
+
+
 def _solve(table: _Segments, period: float, budgets: np.ndarray):
     """The optimal schedules, one per budget: (P, N+1) seconds per mode,
     off last, their (4, P) readings, and the (P,) mask of budgets below
-    the keep-alive floor.  The mean power budget/period falls on one
-    envelope segment (left, right), which _split shares out.  A budget
-    below the floor is below p_off T, so it falls on the first segment,
-    off to the next vertex, and t_right clips to 0: the mask sets only the
-    status.  allocator._decide is the same solve for one budget."""
+    the keep-alive floor.  A budget below the floor is below p_off T, so
+    it falls on the first segment, off to the next vertex, and t_right
+    clips to 0: the mask sets only the status.  allocator._decide is the
+    same solve for one budget."""
     weight = np.array(table.weights)
     power = weight[3]
     off = power.size - 1
-    if len(table.hull) == 1:  # every utility is 0: stay off
-        left, right = np.full((2, budgets.size), off)
-        t_right = np.zeros(budgets.size)
-    else:
-        # Searching the inner vertices gives the segment index; budgets
-        # past either end fall on the end segments and clip there.  A
-        # mean power that overflows to inf falls past every vertex.
-        with np.errstate(over="ignore"):
-            mean_power = budgets / period
-        seg = np.searchsorted(table.inner, mean_power, side="right")
-        hull = np.array(table.hull)
-        left, right = hull[seg], hull[seg + 1]
-        t_right = _split(power, budgets, period, left, right)
+    left, right, t_right = _segment(table, power, period, budgets)
     rows = np.arange(budgets.size)
     seconds = np.zeros((budgets.size, off + 1))
     seconds[rows, left] = period - t_right
@@ -98,16 +108,24 @@ def _solve(table: _Segments, period: float, budgets: np.ndarray):
     return seconds, _readings(weight, left, right, t_right, period), below
 
 
-def _baselines(table: _Segments, period: float, budgets: np.ndarray):
-    """The static schedules: (P, N) seconds on each design point, off for
-    the rest of the period, and their (4, P, N) readings.  Design point k
-    is _split on the segment (off, k), which spends nothing on k below the
-    keep-alive floor."""
-    weight = np.array(table.weights)
-    n = weight.shape[1] - 1
-    off, dps = np.full((1, 1), n), np.arange(n)[None, :]
-    t = _split(weight[3], budgets[:, None], period, off, dps)
-    return t, _readings(weight, off, dps, t, period)
+def _static_modes(n: int):
+    """The segments (off, k) of the N static schedules, as index arrays
+    that broadcast over (P, N)."""
+    return np.full((1, 1), n), np.arange(n)[None, :]
+
+
+def _static_seconds(power: np.ndarray, period: float, budgets: np.ndarray) -> np.ndarray:
+    """The static schedules' (P, N) seconds on each design point, off for
+    the rest of the period.  Design point k is _split on the segment (off,
+    k), which spends nothing on k below the keep-alive floor.  They depend
+    on the power row alone, not on alpha."""
+    return _split(power, budgets[:, None], period, *_static_modes(power.size - 1))
+
+
+def _static_readings(weight: np.ndarray, static_t: np.ndarray, period: float) -> np.ndarray:
+    """The (rows, P, N) readings of the static schedules that run each
+    design point for static_t seconds, from the given weight rows."""
+    return _readings(weight, *_static_modes(static_t.shape[1]), static_t, period)
 
 
 def _allocations(dp_ids, times, off_time, readings, infeasible) -> list[Allocation]:
@@ -213,32 +231,42 @@ class SimulationReport:
         return iter(self.records)
 
 
-def _mean(values: list[float]) -> float | None:
-    """Mean of values summed in order; where that sum overflows, the sum
-    of each value over the count instead."""
-    if not values:
+def _mean(values: list[float], count: int) -> float | None:
+    """Mean of the count defined values, summed in order, where values
+    holds 0.0 in place of each undefined one: adding 0.0 leaves a sum of
+    ratios, which are never negative, bit for bit unchanged.  Where that
+    sum overflows, the sum of each value over the count instead."""
+    if not count:
         return None
-    mean = sum(values) / len(values)
+    mean = sum(values) / count
     if math.isfinite(mean):
         return mean
-    return sum(v / len(values) for v in values)
+    return sum(v / count for v in values)
 
 
 def _ratio_stats(
     ratios: np.ndarray, defined: np.ndarray, dp_ids: tuple[int, ...]
 ) -> dict[int, RatioStats]:
-    """Per design point, the (P, N) ratios where defined, summed in period order."""
-    stats = {}
-    for k, dp_id in enumerate(dp_ids):
-        values = ratios[defined[:, k], k].tolist()
-        stats[dp_id] = RatioStats(
-            mean=_mean(values),
-            min=min(values) if values else None,
-            max=max(values) if values else None,
-            defined=len(values),
-            undefined=len(ratios) - len(values),
+    """Per design point, the (P, N) ratios where defined: their count,
+    min and max in one pass over the columns, and their mean summed in
+    period order."""
+    periods = len(ratios)
+    # One row per design point, so that each reduction runs along a row.
+    ratios, defined = ratios.T.copy(), defined.T.copy()
+    counts = np.count_nonzero(defined, axis=1).tolist()
+    lows = np.where(defined, ratios, np.inf).min(axis=1).tolist()
+    highs = np.where(defined, ratios, -np.inf).max(axis=1).tolist()
+    # Each row becomes Python floats only while its mean is summed.
+    return {
+        dp_id: RatioStats(
+            mean=_mean(row.tolist(), count),
+            min=low if count else None,
+            max=high if count else None,
+            defined=count,
+            undefined=periods - count,
         )
-    return stats
+        for dp_id, row, count, low, high in zip(dp_ids, ratios, counts, lows, highs)
+    }
 
 
 def _ratios(objective: np.ndarray, static_objective: np.ndarray):
@@ -254,20 +282,31 @@ def _ratios(objective: np.ndarray, static_objective: np.ndarray):
     return ratios, defined
 
 
-def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> SimulationReport:
-    """One optimized-vs-static record per period of the series, plus
-    aggregates; the period length is the series'."""
+def _checked(budgets: BudgetSeries, catalog: Catalog, alpha: float):
+    """The period length of a series, and copies of its starts and budgets
+    as arrays, once simulate's inputs are checked: the series must not be
+    empty, then the period, the budgets, alpha and the catalog are checked
+    in that order."""
     period_length = budgets.period_length
     if len(budgets) == 0:
         raise ValueError("budget series is empty")
-    column = np.asarray(budgets.budgets, dtype=float)
     # Copies of starts and budgets, so that records built later do not see
     # the caller's edits.
+    column = np.array(budgets.budgets, dtype=float)
     starts = np.array(budgets.starts, dtype=float)
     _check_inputs(period_length, alpha, catalog, lambda: _check_series(starts, column))
+    return period_length, starts, column
+
+
+def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> SimulationReport:
+    """One optimized-vs-static record per period of the series, plus
+    aggregates; the period length is the series'."""
+    period_length, starts, column = _checked(budgets, catalog, alpha)
     table = catalog._segments(alpha)
     seconds, readings, infeasible = _solve(table, period_length, column)
-    static_t, static_readings = _baselines(table, period_length, column)
+    weight = np.array(table.weights)
+    static_t = _static_seconds(weight[3], period_length, column)
+    static_readings = _static_readings(weight, static_t, period_length)
     ratios, defined = _ratios(readings[0], static_readings[0])
     n = column.size
     total_time = n * period_length
@@ -286,7 +325,7 @@ def simulate(budgets: BudgetSeries, catalog: Catalog, alpha: float) -> Simulatio
         off_share=sum(seconds[:, -1].tolist()) / total_time,
         columns=PeriodColumns(
             starts=starts,
-            budget=column.copy(),
+            budget=column,
             seconds=seconds,
             readings=readings,
             static_t=static_t,
@@ -331,12 +370,31 @@ class AlphaPoint:
 def sweep_alpha(
     catalog: Catalog, budgets: BudgetSeries, alphas: list[float]
 ) -> list[AlphaPoint]:
-    """Aggregate normalized ratios (with min/max bounds) for each alpha,
-    one simulation per alpha."""
-    return [
-        AlphaPoint(alpha, simulate(budgets, catalog, alpha).ratio_stats)
-        for alpha in map(float, alphas)
-    ]
+    """Aggregate normalized ratios (with min/max bounds) for each alpha:
+    each point's ratio_stats are simulate(budgets, catalog, alpha)'s, and
+    the inputs are checked as simulate checks them, alpha by alpha (no
+    alphas: no check, and no points).
+
+    The static schedules' seconds do not depend on alpha, so they are
+    solved once per sweep; each alpha then costs one envelope solve and
+    the objective rows of both schedules, by simulate's own kernels."""
+    alphas = map(float, alphas)
+    first = next(alphas, None)
+    if first is None:
+        return []
+    period, _, column = _checked(budgets, catalog, first)
+    power = np.array(catalog._segments(first).weights[3])
+    static_t = _static_seconds(power, period, column)
+    points = []
+    for alpha in chain([first], alphas):
+        _check_inputs(period, alpha, catalog)
+        table = catalog._segments(alpha)
+        utility = np.array(table.weights[:1])
+        left, right, t_right = _segment(table, power, period, column)
+        objective = _readings(utility, left, right, t_right, period)[0]
+        ratios, defined = _ratios(objective, _static_readings(utility, static_t, period)[0])
+        points.append(AlphaPoint(alpha, _ratio_stats(ratios, defined, catalog.ids)))
+    return points
 
 
 def sweep_to_csv(report: SimulationReport, catalog: Catalog) -> str:

@@ -281,6 +281,31 @@ class TestAccountingIdentities:
         }
         assert set(payload["times"]) == {"1", "2", "3", "4", "5"}
 
+    def test_to_dict_pins_key_order_and_values(self):
+        """times keys each id as its str in dp_ids order, whether the ids'
+        keys are spelled afresh or reused from an earlier call."""
+        ids = (7, 3, 10**12, 0)
+        allocation = Allocation(ids, (1.5, -0.0, 2.0**-1074, 3600.0), 0.25, 0.5, 0.75,
+                                1.0, 5.0, "infeasible")
+        expected = {
+            "times": {"7": 1.5, "3": -0.0, "1000000000000": 2.0**-1074, "0": 3600.0},
+            "off_time": 0.25,
+            "objective": 0.5,
+            "expected_accuracy": 0.75,
+            "active_fraction": 1.0,
+            "energy_used": 5.0,
+            "status": "infeasible",
+        }
+        for same_ids in (ids, tuple(list(ids))):
+            payload = dataclasses.replace(allocation, dp_ids=same_ids).to_dict()
+            assert payload == expected
+            assert list(payload) == list(expected)
+            assert list(payload["times"]) == ["7", "3", "1000000000000", "0"]
+            assert math.copysign(1.0, payload["times"]["3"]) == -1.0
+        other = dataclasses.replace(allocation, dp_ids=(1, 2, 3, 4)).to_dict()
+        assert list(other["times"]) == ["1", "2", "3", "4"]
+        assert list(other["times"].values()) == list(allocation.times)
+
 
 class TestEnvelopeOracle:
     def test_matches_frozen_cases(self):

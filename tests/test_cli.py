@@ -143,13 +143,27 @@ class TestSweep:
             assert code == 1 and "range" in err
 
     def test_huge_range_is_refused_before_allocating(self, capsys, monkeypatch):
-        def no_arange(*args, **kwargs):
-            raise AssertionError(f"np.arange{args} ran")
+        """Neither the CLI's sweep nor the sweep_budget API builds a table,
+        decides a budget or makes a grid before it refuses the range."""
+        from eaopt import _sweep, allocator
 
-        monkeypatch.setattr(np, "arange", no_arange)
+        def refuse(name):
+            def ran(*args, **kwargs):
+                raise AssertionError(f"{name} ran")
+            return ran
+
+        for module, name in ((np, "arange"), (_sweep, "_decide"), (_sweep, "_static_table"),
+                             (allocator, "_static_table")):
+            monkeypatch.setattr(module, name, refuse(name))
+        # The patches guard the path that a range of the right size takes.
+        with pytest.raises(AssertionError, match="ran"):
+            run(capsys, "sweep", "--budget-range", "0:1:1")
+        capsys.readouterr()
         code, out, err = run(capsys, "sweep", "--budget-range", "0:1e9:1")
         assert code == 1 and out == ""
         assert err == "error: budget range 0.0:1000000000.0:1.0: too many points at this step\n"
+        with pytest.raises(ValueError, match="too many points at this step"):
+            simulator.sweep_budget(builtin_table1(), 1.0, 0.0, 1e9, 1.0)
 
     def test_alpha_sweep_over_synth_trace(self, capsys):
         code, out, _ = run(
@@ -159,6 +173,18 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0].split(",")[0] == "alpha"
         assert len(lines) == 4
+
+    def test_alpha_sweep_prints_the_library_csv(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--trace", "synth:2d", "--synth-noise", "0.3",
+            "--synth-seed", "7", "--alpha-list", "0,0.5,1,2,8",
+        )
+        assert code == 0 and err == ""
+        catalog = builtin_table1()
+        series = trace_to_budgets(synth_trace(2, noise=0.3, seed=7), PanelModel(), HOUR)
+        points = simulator.sweep_alpha(catalog, series, [0.0, 0.5, 1.0, 2.0, 8.0])
+        assert out == simulator.alpha_sweep_to_csv(points, catalog)
+        assert len(out.splitlines()) == 6
 
     def test_trace_requires_alpha_list(self, capsys):
         code, _, err = run(capsys, "sweep", "--trace", "synth:2d")

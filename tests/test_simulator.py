@@ -17,6 +17,7 @@ from eaopt.catalog import Catalog, DesignPoint, builtin_table1
 from eaopt.cli import main
 from eaopt.harvest import BudgetSeries, PanelModel, synth_trace, trace_to_budgets
 from eaopt.simulator import (
+    AlphaPoint,
     PeriodColumns,
     RatioStats,
     alpha_sweep_to_csv,
@@ -30,6 +31,7 @@ from eaopt.simulator import (
 )
 from oracles import (
     degenerate_cases,
+    every_scale_cases,
     reference_alpha_sweep_csv,
     reference_report_csv,
     reference_report_json,
@@ -505,6 +507,74 @@ class TestSweepAlphaReference:
         assert [pt.alpha for pt in points] == self.ALPHAS
         for pt in points:
             assert pt.ratio_stats == _reference_ratio_stats(catalog, period, budgets, pt.alpha)
+
+
+def _outcome(run):
+    """run()'s result, or the type and text of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_by_simulate(catalog, series, alphas) -> list[AlphaPoint]:
+    """sweep_alpha as one whole simulation per alpha."""
+    return [AlphaPoint(a, simulate(series, catalog, a).ratio_stats) for a in map(float, alphas)]
+
+
+class TestSweepAlphaMatchesSimulate:
+    """sweep_alpha solves the static schedules once per sweep, and each
+    alpha's optimum alone; its CSV is byte for byte the CSV of one whole
+    simulation per alpha, and a bad input raises simulate's error."""
+
+    ALPHAS = [0.0, 0.5, 1.0, 2.0, 8.0, 64.0]
+
+    def check(self, catalog, series, alphas):
+        def render(sweep):
+            return lambda: alpha_sweep_to_csv(sweep(catalog, series, alphas), catalog)
+
+        assert _outcome(render(sweep_alpha)) == _outcome(render(_sweep_by_simulate))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(degenerate_cases(), every_scale_cases()))
+    @example(case=_SUBNORMAL)
+    @example(case=_HUGE_RATIOS)
+    @example(case=_ONE_DP)
+    @example(case=_EXTREME)
+    def test_csv_equals_one_simulation_per_alpha(self, case):
+        catalog, period, budgets, alpha = case
+        series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+        self.check(catalog, series, [alpha, *self.ALPHAS, alpha])
+
+    @pytest.mark.parametrize("alphas", [[1.0], [-1.0, 1.0], [1.0, math.inf], [2, 0.5, math.nan]],
+                             ids=["good", "bad-first", "bad-later", "bad-last"])
+    @pytest.mark.parametrize("case", [
+        (CATALOG, HOUR, [5.0, 0.0]),
+        (CATALOG, 0.0, [5.0]),
+        (CATALOG, -HOUR, [-1.0]),
+        (CATALOG, math.nan, [5.0]),
+        (CATALOG, HOUR, [5.0, -1.0, math.nan]),
+        (CATALOG, HOUR, [math.inf]),
+        (CATALOG, -HOUR, []),
+        (CATALOG, HOUR, []),
+        (Catalog((), 1e-4), HOUR, [5.0]),
+        (Catalog((DesignPoint(1, "a", 1.5, -1e-3),), 1e-4), HOUR, [5.0]),
+        (Catalog((DesignPoint(1, "a", 0.5, 1e-3),), 1.0), -HOUR, [5.0]),
+    ], ids=["good", "zero-period", "bad-period-and-budget", "nan-period", "bad-budgets",
+            "inf-budget", "empty-bad-period", "empty", "no-points", "bad-point",
+            "bad-catalog-and-period"])
+    def test_errors_match_simulate(self, case, alphas):
+        catalog, period, budgets = case
+        series = BudgetSeries(period, period * np.arange(len(budgets)), np.array(budgets))
+        self.check(catalog, series, alphas)
+
+    def test_bad_start_and_length_mismatch(self):
+        for starts in ([0.0, math.inf], [0.0]):
+            series = BudgetSeries(HOUR, np.array(starts), np.array([5.0, 6.0]))
+            self.check(CATALOG, series, [1.0, -1.0])
+
+    def test_no_alphas_checks_nothing(self):
+        assert sweep_alpha(CATALOG, BudgetSeries(-HOUR, np.array([]), np.array([])), []) == []
 
 
 class TestLazyRecords:
